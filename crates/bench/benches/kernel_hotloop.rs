@@ -23,19 +23,23 @@ use std::time::{Duration, Instant};
 
 const ACCESSES: u64 = 60_000;
 
-/// Process CPU time (user + system) in clock ticks from `/proc/self/stat`,
-/// or `None` off Linux. On a shared/virtualized host, wall-clock minima
-/// still include scheduler steal; CPU time summed over all iterations is
-/// the noise-robust number (tick granularity is ~10 ms, so it is only
-/// meaningful across the whole loop, never per iteration).
-fn cpu_ticks() -> Option<u64> {
+/// Process CPU time (user + system) in clock ticks and minor page faults
+/// so far, from `/proc/self/stat`, or `None` off Linux. On a
+/// shared/virtualized host, wall-clock minima still include scheduler
+/// steal; CPU time summed over all iterations is the noise-robust number
+/// (tick granularity is ~10 ms, so it is only meaningful across the whole
+/// loop, never per iteration). Minor faults count first touches of freshly
+/// mapped pages: a per-run allocation that the allocator hands back to the
+/// OS after every run shows up as faults in every iteration.
+fn proc_stat() -> Option<(u64, u64)> {
     let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
     // The comm field (2) may contain spaces; fields resume after `)`.
     let rest = stat.rsplit_once(')')?.1;
     let mut fields = rest.split_whitespace();
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
+    let minflt: u64 = fields.nth(7)?.parse().ok()?;
+    let utime: u64 = fields.nth(3)?.parse().ok()?;
     let stime: u64 = fields.next()?.parse().ok()?;
-    Some(utime + stime)
+    Some((utime + stime, minflt))
 }
 
 fn main() {
@@ -63,17 +67,27 @@ fn main() {
         };
         run(); // warm-up
         let mut best = Duration::MAX;
-        let ticks0 = cpu_ticks();
+        // Faults are exact counts, so they are taken per iteration; the
+        // median drops the allocator's one-off heap growth in the first.
+        let mut faults = Vec::with_capacity(iters as usize);
+        let stat0 = proc_stat();
         for _ in 0..iters {
+            let before = proc_stat();
             let t0 = Instant::now();
             run();
             best = best.min(t0.elapsed());
+            if let Some(((_, f1), (_, f0))) = proc_stat().zip(before) {
+                faults.push(f1 - f0);
+            }
         }
-        let cpu = cpu_ticks().zip(ticks0).map(|(t1, t0)| t1 - t0);
+        faults.sort_unstable();
         let per_sec = ACCESSES as f64 / best.as_secs_f64();
-        let cpu_col = match cpu {
-            Some(ticks) => format!("  cpu {:>8.3} ms/iter", ticks as f64 * 10.0 / iters as f64),
-            None => String::new(),
+        let cpu_col = match (proc_stat().zip(stat0), faults.get(faults.len() / 2)) {
+            (Some(((t1, _), (t0, _))), Some(minflt)) => format!(
+                "  cpu {:>8.3} ms/iter  minflt {minflt:>6} /iter (median)",
+                (t1 - t0) as f64 * 10.0 / iters as f64,
+            ),
+            _ => String::new(),
         };
         println!(
             "kernel_hotloop_{:<4} best of {iters}: {:>9.3} ms  ({:>10.0} accesses/s){cpu_col}",

@@ -45,10 +45,9 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Result of a hierarchy access or fill: where it hit, the load-to-use
-/// latency for cache hits, and any dirty lines displaced all the way out to
-/// memory (which the caller must enqueue as DRAM writes).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of a hierarchy access: where it hit and the load-to-use latency
+/// for cache hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Level that serviced the access ([`HitLevel::Memory`] means the
     /// caller must fetch the line and then call
@@ -58,8 +57,6 @@ pub struct AccessOutcome {
     /// the lookup cost spent discovering the miss (the DRAM round trip is
     /// the caller's to add).
     pub latency: u64,
-    /// Dirty victim lines displaced out of the L3 by this operation.
-    pub writebacks: Vec<u64>,
 }
 
 /// Per-level statistics.
@@ -110,73 +107,56 @@ impl Hierarchy {
     /// * L2/L3 hit: line promoted into the upper levels.
     /// * Miss: outcome says [`HitLevel::Memory`]; once the caller has the
     ///   data it calls [`fill_from_memory`](Hierarchy::fill_from_memory).
-    pub fn access(&mut self, line: u64, is_write: bool) -> AccessOutcome {
+    ///
+    /// Dirty lines displaced out of the L3 by a promotion are appended to
+    /// `writebacks`, in eviction order; the caller must enqueue them as
+    /// DRAM writes. The same holds for every fill below.
+    pub fn access(
+        &mut self,
+        line: u64,
+        is_write: bool,
+        writebacks: &mut impl Extend<u64>,
+    ) -> AccessOutcome {
         if self.l1.access(line, is_write) {
-            return AccessOutcome {
-                level: HitLevel::L1,
-                latency: self.cfg.l1_latency,
-                // asd-lint: allow(D010) -- Vec::new is allocation-free; nothing is ever pushed
-                writebacks: Vec::new(),
-            };
+            return AccessOutcome { level: HitLevel::L1, latency: self.cfg.l1_latency };
         }
         if self.l2.access(line, false) {
-            // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-            let mut wb = Vec::new();
-            self.promote_to_l1(line, is_write, &mut wb);
-            return AccessOutcome {
-                level: HitLevel::L2,
-                latency: self.cfg.l2_latency,
-                writebacks: wb,
-            };
+            self.promote_to_l1(line, is_write, writebacks);
+            return AccessOutcome { level: HitLevel::L2, latency: self.cfg.l2_latency };
         }
         if self.l3.access(line, false) {
-            // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-            let mut wb = Vec::new();
-            self.promote_to_l2(line, false, &mut wb);
-            self.promote_to_l1(line, is_write, &mut wb);
-            return AccessOutcome {
-                level: HitLevel::L3,
-                latency: self.cfg.l3_latency,
-                writebacks: wb,
-            };
+            self.promote_to_l2(line, false, writebacks);
+            self.promote_to_l1(line, is_write, writebacks);
+            return AccessOutcome { level: HitLevel::L3, latency: self.cfg.l3_latency };
         }
-        AccessOutcome {
-            level: HitLevel::Memory,
-            latency: self.cfg.l3_latency,
-            // asd-lint: allow(D010) -- Vec::new is allocation-free; nothing is ever pushed
-            writebacks: Vec::new(),
-        }
+        AccessOutcome { level: HitLevel::Memory, latency: self.cfg.l3_latency }
     }
 
     /// Install a line fetched from memory into all levels (the demand-fill
     /// path; the Power5+ fills L1 and L2 on demand misses, and our L3 is a
     /// lookaside copy). `is_write` marks the L1 copy dirty.
-    pub fn fill_from_memory(&mut self, line: u64, is_write: bool) -> AccessOutcome {
-        // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-        let mut wb = Vec::new();
-        self.install_l3(line, false, &mut wb);
-        self.promote_to_l2(line, false, &mut wb);
-        self.promote_to_l1(line, is_write, &mut wb);
-        AccessOutcome { level: HitLevel::Memory, latency: 0, writebacks: wb }
+    pub fn fill_from_memory(
+        &mut self,
+        line: u64,
+        is_write: bool,
+        writebacks: &mut impl Extend<u64>,
+    ) {
+        self.install_l3(line, false, writebacks);
+        self.promote_to_l2(line, false, writebacks);
+        self.promote_to_l1(line, is_write, writebacks);
     }
 
     /// Install a processor-side-prefetched line into L1 (and L2), as the
     /// Power5 stream prefetcher does for the "one line ahead" fill.
-    pub fn prefetch_fill_l1(&mut self, line: u64) -> AccessOutcome {
-        // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-        let mut wb = Vec::new();
-        self.promote_to_l2(line, false, &mut wb);
-        self.promote_to_l1(line, false, &mut wb);
-        AccessOutcome { level: HitLevel::Memory, latency: 0, writebacks: wb }
+    pub fn prefetch_fill_l1(&mut self, line: u64, writebacks: &mut impl Extend<u64>) {
+        self.promote_to_l2(line, false, writebacks);
+        self.promote_to_l1(line, false, writebacks);
     }
 
     /// Install a processor-side-prefetched line into L2 only (the "one
     /// further line" fill of the Power5 prefetcher).
-    pub fn prefetch_fill_l2(&mut self, line: u64) -> AccessOutcome {
-        // asd-lint: allow(D010) -- Vec::new is allocation-free; pushes only on dirty evictions
-        let mut wb = Vec::new();
-        self.promote_to_l2(line, false, &mut wb);
-        AccessOutcome { level: HitLevel::Memory, latency: 0, writebacks: wb }
+    pub fn prefetch_fill_l2(&mut self, line: u64, writebacks: &mut impl Extend<u64>) {
+        self.promote_to_l2(line, false, writebacks);
     }
 
     /// Whether `line` is resident anywhere on chip (L1 or L2); used by the
@@ -195,7 +175,7 @@ impl Hierarchy {
         }
     }
 
-    fn promote_to_l1(&mut self, line: u64, dirty: bool, wb: &mut Vec<u64>) {
+    fn promote_to_l1(&mut self, line: u64, dirty: bool, wb: &mut impl Extend<u64>) {
         if let Some((victim, victim_dirty)) = self.l1.fill(line, dirty) {
             if victim_dirty {
                 // Write-back into L2.
@@ -204,7 +184,7 @@ impl Hierarchy {
         }
     }
 
-    fn promote_to_l2(&mut self, line: u64, dirty: bool, wb: &mut Vec<u64>) {
+    fn promote_to_l2(&mut self, line: u64, dirty: bool, wb: &mut impl Extend<u64>) {
         if let Some((victim, victim_dirty)) = self.l2.fill(line, dirty) {
             if victim_dirty {
                 self.install_l3_dirty(victim, wb);
@@ -212,7 +192,7 @@ impl Hierarchy {
         }
     }
 
-    fn install_l2_dirty(&mut self, line: u64, wb: &mut Vec<u64>) {
+    fn install_l2_dirty(&mut self, line: u64, wb: &mut impl Extend<u64>) {
         if let Some((victim, victim_dirty)) = self.l2.fill(line, true) {
             if victim_dirty {
                 self.install_l3_dirty(victim, wb);
@@ -220,16 +200,16 @@ impl Hierarchy {
         }
     }
 
-    fn install_l3(&mut self, line: u64, dirty: bool, wb: &mut Vec<u64>) {
+    fn install_l3(&mut self, line: u64, dirty: bool, wb: &mut impl Extend<u64>) {
         if let Some((victim, victim_dirty)) = self.l3.fill(line, dirty) {
             if victim_dirty {
                 self.memory_writebacks += 1;
-                wb.push(victim);
+                wb.extend(Some(victim));
             }
         }
     }
 
-    fn install_l3_dirty(&mut self, line: u64, wb: &mut Vec<u64>) {
+    fn install_l3_dirty(&mut self, line: u64, wb: &mut impl Extend<u64>) {
         self.install_l3(line, true, wb);
     }
 
@@ -263,17 +243,19 @@ mod tests {
     #[test]
     fn cold_miss_goes_to_memory() {
         let mut h = small();
-        let out = h.access(42, false);
+        let mut wb: Vec<u64> = Vec::new();
+        let out = h.access(42, false, &mut wb);
         assert_eq!(out.level, HitLevel::Memory);
-        assert!(out.writebacks.is_empty());
+        assert!(wb.is_empty());
     }
 
     #[test]
     fn fill_then_l1_hit() {
         let mut h = small();
-        h.access(42, false);
-        h.fill_from_memory(42, false);
-        let out = h.access(42, false);
+        let mut wb: Vec<u64> = Vec::new();
+        h.access(42, false, &mut wb);
+        h.fill_from_memory(42, false, &mut wb);
+        let out = h.access(42, false, &mut wb);
         assert_eq!(out.level, HitLevel::L1);
         assert_eq!(out.latency, 2);
     }
@@ -281,13 +263,14 @@ mod tests {
     #[test]
     fn l2_hit_promotes_to_l1() {
         let mut h = small();
-        h.fill_from_memory(42, false);
+        let mut wb: Vec<u64> = Vec::new();
+        h.fill_from_memory(42, false, &mut wb);
         // Push 42 out of tiny L1 (set = 42 % 4 = 2; lines 2+4k map there).
-        h.fill_from_memory(2, false);
-        h.fill_from_memory(6, false);
-        h.fill_from_memory(10, false);
+        h.fill_from_memory(2, false, &mut wb);
+        h.fill_from_memory(6, false, &mut wb);
+        h.fill_from_memory(10, false, &mut wb);
         assert!(!h.contains(HitLevel::L1, 42));
-        let out = h.access(42, false);
+        let out = h.access(42, false, &mut wb);
         assert_eq!(out.level, HitLevel::L2);
         assert!(h.contains(HitLevel::L1, 42), "promoted on hit");
     }
@@ -295,14 +278,16 @@ mod tests {
     #[test]
     fn dirty_line_cascades_to_memory_writeback() {
         let mut h = small();
-        h.fill_from_memory(0, true); // dirty in L1
-                                     // Flood every level's set 0 until the dirty line is forced out of L3.
+        let mut wb: Vec<u64> = Vec::new();
+        // Dirty in L1. Then flood every level's set 0 until the dirty line
+        // is forced out of L3.
+        h.fill_from_memory(0, true, &mut wb);
         let mut wrote_back = false;
         for i in 1..2000u64 {
             let line = i * 4; // all in L1 set 0 orbit
-            h.access(line, false);
-            let out = h.fill_from_memory(line, false);
-            if out.writebacks.contains(&0) {
+            h.access(line, false, &mut wb);
+            h.fill_from_memory(line, false, &mut wb);
+            if wb.contains(&0) {
                 wrote_back = true;
                 break;
             }
@@ -314,12 +299,14 @@ mod tests {
     #[test]
     fn write_hit_dirties_line() {
         let mut h = small();
-        h.fill_from_memory(5, false);
-        h.access(5, true); // write hit in L1
-                           // Evict from L1: the dirty copy must land in L2 (not be lost).
-        h.fill_from_memory(9, false);
-        h.fill_from_memory(13, false);
-        h.fill_from_memory(17, false);
+        let mut wb: Vec<u64> = Vec::new();
+        h.fill_from_memory(5, false, &mut wb);
+        // A write hit in L1; then evict from L1: the dirty copy must land
+        // in L2 (not be lost).
+        h.access(5, true, &mut wb);
+        h.fill_from_memory(9, false, &mut wb);
+        h.fill_from_memory(13, false, &mut wb);
+        h.fill_from_memory(17, false, &mut wb);
         assert!(!h.contains(HitLevel::L1, 5));
         assert!(h.contains(HitLevel::L2, 5));
     }
@@ -327,10 +314,11 @@ mod tests {
     #[test]
     fn prefetch_fills_target_levels() {
         let mut h = small();
-        h.prefetch_fill_l2(30);
+        let mut wb: Vec<u64> = Vec::new();
+        h.prefetch_fill_l2(30, &mut wb);
         assert!(!h.contains(HitLevel::L1, 30));
         assert!(h.contains(HitLevel::L2, 30));
-        h.prefetch_fill_l1(31);
+        h.prefetch_fill_l1(31, &mut wb);
         assert!(h.contains(HitLevel::L1, 31));
         assert!(h.contains(HitLevel::L2, 31));
         assert!(h.on_chip(30));
@@ -340,16 +328,17 @@ mod tests {
     #[test]
     fn l3_hit_latency() {
         let mut h = small();
-        h.fill_from_memory(7, false);
+        let mut wb: Vec<u64> = Vec::new();
+        h.fill_from_memory(7, false, &mut wb);
         // Evict from L1 and L2 but not L3: flood 40 lines in the same orbits.
         for i in 1..40u64 {
-            h.fill_from_memory(7 + i * 4, false);
+            h.fill_from_memory(7 + i * 4, false, &mut wb);
         }
         if !h.contains(HitLevel::L1, 7)
             && !h.contains(HitLevel::L2, 7)
             && h.contains(HitLevel::L3, 7)
         {
-            let out = h.access(7, false);
+            let out = h.access(7, false, &mut wb);
             assert_eq!(out.level, HitLevel::L3);
             assert_eq!(out.latency, 87);
         }
@@ -358,9 +347,10 @@ mod tests {
     #[test]
     fn stats_populated() {
         let mut h = small();
-        h.access(1, false);
-        h.fill_from_memory(1, false);
-        h.access(1, false);
+        let mut wb: Vec<u64> = Vec::new();
+        h.access(1, false, &mut wb);
+        h.fill_from_memory(1, false, &mut wb);
+        h.access(1, false, &mut wb);
         let s = h.stats();
         assert_eq!(s.l1.hits, 1);
         assert!(s.l1.misses >= 1);

@@ -51,33 +51,65 @@ const LINE_MASK: u64 = DIRTY - 1;
 /// the line offset already stripped). Lookup and fill are separate
 /// operations: the hierarchy decides what to do on a miss.
 ///
-/// Storage is struct-of-arrays over two flat stripes with set `s` owning
-/// indices `s * assoc .. (s + 1) * assoc` of each: `tags` packs
-/// `VALID`/`DIRTY` into the top bits of the line address (line addresses
-/// are physical addresses shifted right by the 128-byte line offset, so
-/// bits 62–63 are always free), and `lrus` holds the recency stamps. The
-/// lookup scan — every access, every level on the way down — is one
-/// equality compare per way against `line | VALID`, touching only the
-/// `tags` stripe; `lrus` is read when a hit or a victim choice needs it.
-/// A line occupies at most one way of its set and `lru` stamps are unique
-/// (one clock for the whole cache), so hit detection and victim choice
-/// are independent of slot order — the flat layout is observationally
-/// identical to the per-set `Vec<Way>` one it replaced, while costing two
-/// allocations per cache instead of one per set (the 36 MB L3 has
-/// 24 576 sets).
+/// Storage is one allocation in which set `s` owns the contiguous block
+/// `blocks[s * 2 * assoc .. (s + 1) * 2 * assoc]`: first its `assoc` tag
+/// words, then its `assoc` LRU stamps. A tag word packs `VALID`/`DIRTY`
+/// into the top bits of the line address (line addresses are physical
+/// addresses shifted right by the 128-byte line offset, so bits 62–63 are
+/// always free). The lookup scan is one equality compare per way against
+/// `line | VALID`; a probe followed by a fill or LRU update stays inside
+/// the one block (192 B for the 12-way L3) instead of touching two
+/// far-apart stripes. A line occupies at most one way of its set and `lru`
+/// stamps are unique (one clock for the whole cache), so hit detection and
+/// victim choice are independent of slot order.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    tags: Box<[u64]>,
-    lrus: Box<[u64]>,
+    blocks: Box<[u64]>,
     assoc: usize,
+    index: SetIndex,
+    lru_clock: u64,
+    stats: CacheStats,
+}
+
+/// Maps a line address to its set without a hardware divide.
+#[derive(Debug, Clone, Copy)]
+struct SetIndex {
     /// Number of sets.
     sets: u64,
     /// `sets - 1` when `sets` is a power of two (mask indexing); else 0
-    /// and [`SetAssocCache::set_range`] falls back to modulo (e.g. the
-    /// 1536-set L2).
+    /// and [`SetIndex::set`] uses the reciprocal.
     pow2_mask: u64,
-    lru_clock: u64,
-    stats: CacheStats,
+    /// `⌊(2^64 − 1) / sets⌋`. For any `line`, `mulhi(line, recip)` is
+    /// `⌊line / sets⌋` or one less: writing `2^64 − 1 = recip·sets + e`
+    /// with `e < sets`, the estimate undershoots `line / sets` by
+    /// `line·(1 + e) / (sets·2^64) < 1`. One conditional subtraction of
+    /// `sets` from the remainder therefore makes it exact.
+    recip: u64,
+}
+
+impl SetIndex {
+    fn new(sets: u64) -> Self {
+        SetIndex {
+            sets,
+            pow2_mask: if sets.is_power_of_two() { sets - 1 } else { 0 },
+            recip: u64::MAX / sets,
+        }
+    }
+
+    /// `line % sets`.
+    #[inline]
+    fn set(&self, line: u64) -> u64 {
+        if self.pow2_mask != 0 {
+            return line & self.pow2_mask;
+        }
+        let q = ((u128::from(line) * u128::from(self.recip)) >> 64) as u64;
+        let r = line - q * self.sets;
+        if r >= self.sets {
+            r - self.sets
+        } else {
+            r
+        }
+    }
 }
 
 impl SetAssocCache {
@@ -88,33 +120,42 @@ impl SetAssocCache {
     /// Panics if the geometry is inconsistent (static configuration bug).
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
-        let slots = sets * cfg.assoc;
         SetAssocCache {
-            tags: vec![0; slots].into_boxed_slice(),
-            lrus: vec![0; slots].into_boxed_slice(),
+            blocks: vec![0; sets * 2 * cfg.assoc].into_boxed_slice(),
             assoc: cfg.assoc,
-            sets: sets as u64,
-            pow2_mask: if sets.is_power_of_two() { sets as u64 - 1 } else { 0 },
+            index: SetIndex::new(sets as u64),
             lru_clock: 0,
             stats: CacheStats::default(),
         }
     }
 
-    /// The slot range of `line`'s set.
+    /// The range of `blocks` holding `line`'s set.
     #[inline]
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = if self.pow2_mask != 0 { line & self.pow2_mask } else { line % self.sets };
-        let lo = set as usize * self.assoc;
-        lo..lo + self.assoc
+    fn block(&self, line: u64) -> std::ops::Range<usize> {
+        let lo = self.index.set(line) as usize * 2 * self.assoc;
+        lo..lo + 2 * self.assoc
     }
 
-    /// The slot holding `line` in its set, if resident. One compare per
+    /// `line`'s set as `(tags, lrus)`, each `assoc` words.
+    #[inline]
+    fn set(&self, line: u64) -> (&[u64], &[u64]) {
+        self.blocks[self.block(line)].split_at(self.assoc)
+    }
+
+    /// Mutable [`SetAssocCache::set`].
+    #[inline]
+    fn set_mut(&mut self, line: u64) -> (&mut [u64], &mut [u64]) {
+        let block = self.block(line);
+        self.blocks[block].split_at_mut(self.assoc)
+    }
+
+    /// The way holding `line` among `tags`, if resident. One compare per
     /// way: a resident line's tag word is `line | VALID` or
     /// `line | VALID | DIRTY`.
     #[inline]
-    fn find(&self, line: u64) -> Option<usize> {
-        let want = line | VALID;
-        self.set_range(line).find(|&i| self.tags[i] | DIRTY == want | DIRTY)
+    fn find(tags: &[u64], line: u64) -> Option<usize> {
+        let want = line | VALID | DIRTY;
+        tags.iter().position(|&t| t | DIRTY == want)
     }
 
     /// Look up `line`; on a hit, refresh LRU and (for writes) set dirty.
@@ -122,11 +163,13 @@ impl SetAssocCache {
     // asd-lint: hot
     pub fn access(&mut self, line: u64, is_write: bool) -> bool {
         self.lru_clock += 1;
-        match self.find(line) {
+        let clock = self.lru_clock;
+        let (tags, lrus) = self.set_mut(line);
+        match Self::find(tags, line) {
             Some(i) => {
-                self.lrus[i] = self.lru_clock;
+                lrus[i] = clock;
                 if is_write {
-                    self.tags[i] |= DIRTY;
+                    tags[i] |= DIRTY;
                 }
                 self.stats.hits += 1;
                 true
@@ -141,7 +184,7 @@ impl SetAssocCache {
     /// Whether `line` is present, without perturbing LRU or statistics.
     // asd-lint: hot
     pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
+        Self::find(self.set(line).0, line).is_some()
     }
 
     /// Install `line`, evicting the LRU way if the set is full. Returns the
@@ -151,13 +194,14 @@ impl SetAssocCache {
         self.lru_clock += 1;
         let clock = self.lru_clock;
         let new_tag = line | VALID | if dirty { DIRTY } else { 0 };
+        let (tags, lrus) = self.set_mut(line);
         // Already present (e.g. racing fills): refresh. Otherwise note the
         // first free way and the LRU victim in the same scan.
         let mut free: Option<usize> = None;
-        let mut victim = usize::MAX;
+        let mut victim = 0;
         let mut victim_lru = u64::MAX;
-        for i in self.set_range(line) {
-            let t = self.tags[i];
+        for i in 0..tags.len() {
+            let t = tags[i];
             if t & VALID == 0 {
                 if free.is_none() {
                     free = Some(i);
@@ -165,23 +209,23 @@ impl SetAssocCache {
                 continue;
             }
             if t & LINE_MASK == line {
-                self.lrus[i] = clock;
-                self.tags[i] = t | new_tag;
+                lrus[i] = clock;
+                tags[i] = t | new_tag;
                 return None;
             }
-            if self.lrus[i] < victim_lru {
-                victim_lru = self.lrus[i];
+            if lrus[i] < victim_lru {
+                victim_lru = lrus[i];
                 victim = i;
             }
         }
         if let Some(i) = free {
-            self.tags[i] = new_tag;
-            self.lrus[i] = clock;
+            tags[i] = new_tag;
+            lrus[i] = clock;
             return None;
         }
-        let evicted = (self.tags[victim] & LINE_MASK, self.tags[victim] & DIRTY != 0);
-        self.tags[victim] = new_tag;
-        self.lrus[victim] = clock;
+        let evicted = (tags[victim] & LINE_MASK, tags[victim] & DIRTY != 0);
+        tags[victim] = new_tag;
+        lrus[victim] = clock;
         self.stats.evictions += 1;
         if evicted.1 {
             self.stats.dirty_evictions += 1;
@@ -191,9 +235,10 @@ impl SetAssocCache {
 
     /// Remove `line` if present, returning whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let i = self.find(line)?;
-        let dirty = self.tags[i] & DIRTY != 0;
-        self.tags[i] = 0;
+        let (tags, _) = self.set_mut(line);
+        let i = Self::find(tags, line)?;
+        let dirty = tags[i] & DIRTY != 0;
+        tags[i] = 0;
         Some(dirty)
     }
 
@@ -204,7 +249,10 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t & VALID != 0).count()
+        self.blocks
+            .chunks_exact(2 * self.assoc)
+            .map(|block| block[..self.assoc].iter().filter(|&&t| t & VALID != 0).count())
+            .sum()
     }
 }
 
@@ -313,6 +361,149 @@ mod tests {
         assert!(c.access(0, true));
         assert_eq!(c.invalidate(0), Some(true));
         assert!(!c.contains(0));
+    }
+
+    #[test]
+    fn reciprocal_index_is_exact() {
+        for sets in [3u64, 5, 7, 640, 1536, 24_576, 1_000_003, (1 << 40) + 1] {
+            let idx = SetIndex::new(sets);
+            let edges = [0, 1, sets - 1, sets, sets + 1, LINE_MASK, u64::MAX - 1, u64::MAX];
+            let multiples = [1u64, 2, 1 << 20, LINE_MASK / sets, u64::MAX / sets];
+            for line in edges.into_iter().chain(multiples.iter().flat_map(|&k| {
+                let m = k * sets;
+                [m - 1, m, m.saturating_add(1)]
+            })) {
+                assert_eq!(idx.set(line), line % sets, "line {line} mod {sets}");
+            }
+        }
+    }
+
+    /// A naive true-LRU set-associative cache: per set, the resident
+    /// `(line, dirty)` pairs from least to most recently used.
+    struct Model {
+        sets: Vec<Vec<(u64, bool)>>,
+        assoc: usize,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn new(cfg: CacheConfig) -> Self {
+            Model {
+                sets: vec![Vec::new(); cfg.sets()],
+                assoc: cfg.assoc,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<(u64, bool)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line % n) as usize]
+        }
+
+        fn access(&mut self, line: u64, is_write: bool) -> bool {
+            let set = self.set(line);
+            let hit = match set.iter().position(|&(l, _)| l == line) {
+                Some(i) => {
+                    let (l, dirty) = set.remove(i);
+                    set.push((l, dirty || is_write));
+                    true
+                }
+                None => false,
+            };
+            if hit {
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+            }
+            hit
+        }
+
+        fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
+            let assoc = self.assoc;
+            let set = self.set(line);
+            if let Some(i) = set.iter().position(|&(l, _)| l == line) {
+                let (l, was) = set.remove(i);
+                set.push((l, was || dirty));
+                return None;
+            }
+            let evicted = if set.len() == assoc { Some(set.remove(0)) } else { None };
+            set.push((line, dirty));
+            if let Some((_, d)) = evicted {
+                self.stats.evictions += 1;
+                self.stats.dirty_evictions += u64::from(d);
+            }
+            evicted
+        }
+
+        fn contains(&mut self, line: u64) -> bool {
+            self.set(line).iter().any(|&(l, _)| l == line)
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<bool> {
+            let set = self.set(line);
+            let i = set.iter().position(|&(l, _)| l == line)?;
+            Some(set.remove(i).1)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
+    }
+
+    #[test]
+    fn matches_true_lru_reference_model() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for assoc in [2usize, 4, 10, 12] {
+            for sets in [64u64, 1536, 24_576] {
+                let cfg =
+                    CacheConfig { size_bytes: sets * assoc as u64 * 128, assoc, line_bytes: 128 };
+                let mut cache = SetAssocCache::new(cfg);
+                let mut model = Model::new(cfg);
+                // A pool of lines crowding a few sets (so sets fill and
+                // evict), spread over the whole 62-bit line space so the
+                // reciprocal index sees large quotients. The first and
+                // last sets are where an off-by-one correction shows.
+                let hot_sets = [0, sets - 1, rand() % sets, rand() % sets];
+                let pool: Vec<u64> = (0..assoc as u64 * 6)
+                    .map(|i| {
+                        let q = rand() % (LINE_MASK / sets);
+                        let line = q * sets + hot_sets[(i % 4) as usize];
+                        if i % 17 == 0 {
+                            LINE_MASK - i
+                        } else {
+                            line
+                        }
+                    })
+                    .collect();
+                for step in 0..20_000 {
+                    let r = rand();
+                    let line = pool[(r >> 8) as usize % pool.len()];
+                    let flag = r & 16 != 0;
+                    let ctx = format!("{assoc}-way {sets} sets, step {step}, line {line}");
+                    match r % 8 {
+                        0..=2 => {
+                            assert_eq!(cache.access(line, flag), model.access(line, flag), "{ctx}")
+                        }
+                        3..=5 => {
+                            assert_eq!(cache.fill(line, flag), model.fill(line, flag), "{ctx}")
+                        }
+                        6 => assert_eq!(cache.contains(line), model.contains(line), "{ctx}"),
+                        _ => assert_eq!(cache.invalidate(line), model.invalidate(line), "{ctx}"),
+                    }
+                    assert_eq!(cache.stats(), model.stats, "{ctx}");
+                    if step % 2_000 == 0 {
+                        assert_eq!(cache.resident_lines(), model.resident_lines(), "{ctx}");
+                    }
+                }
+                assert_eq!(cache.resident_lines(), model.resident_lines());
+            }
+        }
     }
 
     #[test]

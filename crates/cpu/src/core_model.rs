@@ -100,12 +100,6 @@ struct ThreadCtx<I> {
     done: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FillKind {
-    Demand,
-    Ps,
-}
-
 #[derive(Debug)]
 enum PsUnit {
     Power5(PsPrefetcher),
@@ -127,7 +121,6 @@ pub struct Core<I> {
     /// `Done { at }` by the port). Bucketed by cycle; delivery order is
     /// identical to the binary heap this replaces.
     self_events: CalendarQueue,
-    self_event_kinds: Vec<(u64, u64, FillKind)>,
     /// Scratch for draining due self-events (capacity reused across steps).
     due_buf: Vec<(u64, u64, u8)>,
     writebacks: VecDeque<u64>,
@@ -175,7 +168,6 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
             // `now`; the wheel grows on the rare configuration that pushes
             // one farther out.
             self_events: CalendarQueue::with_horizon(1024),
-            self_event_kinds: Vec::new(),
             due_buf: Vec::with_capacity(8),
             writebacks: VecDeque::new(),
             stats: CoreStats::default(),
@@ -222,8 +214,7 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
             if let Some(pos) = t.demand.iter().position(|d| d.line == line) {
                 // asd-lint: allow(D005) -- `pos` was produced by `position` on the same deque one line up
                 let d = t.demand.remove(pos).expect("position valid");
-                let outcome = self.hierarchy.fill_from_memory(d.line, d.is_write);
-                self.writebacks.extend(outcome.writebacks);
+                self.hierarchy.fill_from_memory(d.line, d.is_write, &mut self.writebacks);
                 t.slipped = t.demand.len();
                 if t.waiting {
                     t.waiting = false;
@@ -237,11 +228,10 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
         }
         if let Some(pos) = self.ps_pending.iter().position(|(l, _)| *l == line) {
             let (l, target) = self.ps_pending.swap_remove(pos);
-            let outcome = match target {
-                PsTarget::L1 => self.hierarchy.prefetch_fill_l1(l),
-                PsTarget::L2 => self.hierarchy.prefetch_fill_l2(l),
-            };
-            self.writebacks.extend(outcome.writebacks);
+            match target {
+                PsTarget::L1 => self.hierarchy.prefetch_fill_l1(l, &mut self.writebacks),
+                PsTarget::L2 => self.hierarchy.prefetch_fill_l2(l, &mut self.writebacks),
+            }
         }
         // Unmatched fills (duplicates) are ignored.
     }
@@ -256,14 +246,7 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
         if self.self_events.peek().is_some_and(|at| at <= now) {
             let mut due = std::mem::take(&mut self.due_buf);
             self.self_events.drain_due(now, &mut due);
-            for &(at, line, _) in &due {
-                // The kind table disambiguates demand vs prefetch; on_fill
-                // already routes correctly, so just consume the entry.
-                if let Some(pos) =
-                    self.self_event_kinds.iter().position(|&(a, l, _)| a == at && l == line)
-                {
-                    self.self_event_kinds.swap_remove(pos);
-                }
+            for &(_, line, _) in &due {
                 self.on_fill(line, now);
             }
             due.clear();
@@ -324,8 +307,7 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
             let is_write = acc.kind == AccessKind::Write;
             let tid = t.id;
 
-            let outcome = self.hierarchy.access(line, is_write);
-            self.writebacks.extend(outcome.writebacks.iter().copied());
+            let outcome = self.hierarchy.access(line, is_write, &mut self.writebacks);
             self.stats.accesses += 1;
             if is_write {
                 self.stats.writes += 1;
@@ -369,7 +351,6 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
                                 t.ready_at += 1;
                                 t.slipped += 1;
                                 self.self_events.push(at, line, tid);
-                                self.self_event_kinds.push((at, line, FillKind::Demand));
                             }
                             PortResponse::Queued => {
                                 let t = &mut self.threads[idx];
@@ -447,7 +428,6 @@ impl<I: Iterator<Item = MemAccess>> Core<I> {
                 self.ps_pending.push((req.line, req.target));
                 self.stats.ps_reads_sent += 1;
                 self.self_events.push(at, req.line, tid);
-                self.self_event_kinds.push((at, req.line, FillKind::Ps));
             }
             PortResponse::Queued => {
                 self.ps_pending.push((req.line, req.target));

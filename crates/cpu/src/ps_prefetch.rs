@@ -189,23 +189,30 @@ impl PsPrefetcher {
             self.expects.push(line + 1);
             self.meta.push(meta);
         } else {
-            // Replace the stalest entry, preferring unconfirmed or stale
-            // confirmed slots over live streams.
-            let victim = self
-                .meta
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| {
-                    let live = s.confirmed && clock.saturating_sub(s.last_touch) <= STALE_EVENTS;
-                    (live, s.last_touch)
-                })
-                .map(|(i, _)| i)
-                // asd-lint: allow(D005) -- `meta` has fixed nonzero capacity; min_by_key over it cannot be None
-                .expect("nonempty");
+            let victim = victim(&self.meta, clock);
             self.expects[victim] = line + 1;
             self.meta[victim] = meta;
         }
     }
+}
+
+/// The slot to replace: the stalest entry, preferring unconfirmed or
+/// stale confirmed slots over live streams — the first minimum of
+/// `(live, last_touch)`. One pass over the packed key
+/// `(live << 63) | last_touch` (`last_touch` is an event count, far
+/// below 2^63), keeping the first minimum on ties.
+fn victim(meta: &[SlotMeta], clock: u64) -> usize {
+    let mut victim = 0;
+    let mut best = u64::MAX;
+    for (i, s) in meta.iter().enumerate() {
+        let live = s.confirmed && clock.saturating_sub(s.last_touch) <= STALE_EVENTS;
+        let key = (u64::from(live) << 63) | s.last_touch;
+        if key < best {
+            best = key;
+            victim = i;
+        }
+    }
+    victim
 }
 
 #[cfg(test)]
@@ -285,6 +292,70 @@ mod tests {
         }
         assert!(ps.expects.len() <= 4);
         assert_eq!(ps.expects.len(), ps.meta.len());
+    }
+
+    /// The victim rule the packed-key scan replaced.
+    fn reference_victim(meta: &[SlotMeta], clock: u64) -> usize {
+        meta.iter()
+            .enumerate()
+            .min_by_key(|(_, s)| {
+                let live = s.confirmed && clock.saturating_sub(s.last_touch) <= STALE_EVENTS;
+                (live, s.last_touch)
+            })
+            .map(|(i, _)| i)
+            .expect("nonempty")
+    }
+
+    fn slot(confirmed: bool, last_touch: u64) -> SlotMeta {
+        SlotMeta { dir: Direction::Positive, confirmed, advances: 0, last_touch }
+    }
+
+    #[test]
+    fn victim_matches_min_by_key_rule() {
+        let clock = 1_000u64;
+        let cases: Vec<(&str, Vec<SlotMeta>, usize)> = vec![
+            ("tied last_touch keeps the first", vec![slot(false, 700); 12], 0),
+            (
+                "tie after a live slot",
+                vec![slot(true, 990), slot(false, 500), slot(true, 995), slot(false, 500)],
+                1,
+            ),
+            ("all live: oldest wins", (0..12).map(|i| slot(true, 900 + (i * 7) % 12)).collect(), 0),
+            (
+                "all unconfirmed: oldest wins",
+                (0..12).map(|i| slot(false, 980 - (i * 5) % 11)).collect(),
+                2,
+            ),
+            (
+                "age 256 is live, the unconfirmed slot goes",
+                vec![slot(true, 744), slot(false, 999)],
+                1,
+            ),
+            ("age 257 is stale and goes first", vec![slot(false, 999), slot(true, 743)], 1),
+            (
+                "stale beats live regardless of order",
+                vec![slot(true, 744), slot(true, 743), slot(true, 900)],
+                1,
+            ),
+        ];
+        for (what, meta, want) in &cases {
+            assert_eq!(victim(meta, clock), reference_victim(meta, clock), "{what}");
+            assert_eq!(victim(meta, clock), *want, "{what}");
+        }
+        // Random tables with few distinct stamps (many ties) straddling
+        // the stale boundary.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..10_000 {
+            let meta: Vec<SlotMeta> = (0..12)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    slot(x & 1 == 0, clock - 254 - (x >> 8) % 6)
+                })
+                .collect();
+            assert_eq!(victim(&meta, clock), reference_victim(&meta, clock));
+        }
     }
 
     #[test]

@@ -61,6 +61,9 @@ pub fn epoch_histograms_from<I: Iterator<Item = MemAccess>>(
     let mut oracle = OracleSlh::new((asd.filter.extension_lifetime / 100).max(8));
     let mut out: Vec<EpochSlh> = Vec::new();
     let mut scratch: Vec<PrefetchCandidate> = Vec::new();
+    // Dirty L3 victims: this replay models no DRAM writes, so each
+    // access's are discarded.
+    let mut writebacks: Vec<u64> = Vec::new();
     let mut now = 0u64;
     let mut reads_in_epoch = 0u64;
     let mut epochs_seen = 0u64;
@@ -68,9 +71,10 @@ pub fn epoch_histograms_from<I: Iterator<Item = MemAccess>>(
     for access in stream {
         now += u64::from(access.gap) + 2;
         let line = access.line();
-        let outcome = hierarchy.access(line, access.kind == AccessKind::Write);
+        writebacks.clear();
+        let outcome = hierarchy.access(line, access.kind == AccessKind::Write, &mut writebacks);
         if outcome.level == HitLevel::Memory {
-            hierarchy.fill_from_memory(line, access.kind == AccessKind::Write);
+            hierarchy.fill_from_memory(line, access.kind == AccessKind::Write, &mut writebacks);
             // This is a DRAM Read command: both trackers observe it.
             now += 80; // approximate DRAM service spacing
             scratch.clear();
