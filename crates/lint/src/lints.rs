@@ -2,13 +2,13 @@
 //! checks that enforce it.
 //!
 //! Every lint exists to protect one property: **bit-determinism** of the
-//! simulation results. The parallel [`Sweep`] runner's correctness claim
-//! ("bit-identical to serial execution") and every figure driver built on
-//! it assume that a run is a pure function of `(SystemConfig,
+//! simulation results. The parallel job executor's correctness claim
+//! ([`asd_sim::pipeline`]: "bit-identical to serial execution") and every
+//! figure driver built on it assume that a run is a pure function of `(SystemConfig,
 //! WorkloadProfile, RunOpts)`. These lints make the assumptions that
 //! claim rests on mechanically checkable.
 //!
-//! [`Sweep`]: ../asd_sim/sweep/struct.Sweep.html
+//! [`asd_sim::pipeline`]: ../asd_sim/pipeline/index.html
 
 use crate::lexer::{Lexed, Tok, Token};
 

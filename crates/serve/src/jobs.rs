@@ -169,7 +169,9 @@ impl JobTable {
     pub fn progress(&self, id: u64, done: usize, total: usize) {
         let mut g = self.lock();
         if let Some(rec) = g.jobs.get_mut(&id) {
-            rec.done = done;
+            // Workers report completions concurrently, so a smaller count
+            // can arrive after a larger one; watchers see it monotone.
+            rec.done = rec.done.max(done);
             if total > 0 {
                 rec.total = total;
             }

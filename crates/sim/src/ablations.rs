@@ -19,9 +19,8 @@
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::run_custom;
-use crate::pipeline::{FigureOutput, FigurePlan, Job};
+use crate::pipeline::{default_threads, run_batch, FigureOutput, FigurePlan, Job};
 use crate::report::{pct, Table};
-use crate::sweep::Sweep;
 use crate::system::RunResult;
 use asd_core::{AsdConfig, LpqPolicy};
 use asd_cpu::PsKind;
@@ -219,18 +218,15 @@ fn report_assemble(profiles: &[WorkloadProfile], results: &[RunResult]) -> Strin
 }
 
 /// All ablations on a set of benchmarks, rendered. The underlying runs
-/// fan out through one [`Sweep`]; results are bit-identical to calling
-/// the per-section drivers in order.
+/// fan out through one [`run_batch`]; results are bit-identical to
+/// calling the per-section drivers in order.
 ///
 /// # Errors
 ///
 /// As [`run_custom`].
 pub fn full_report(profiles: &[WorkloadProfile], opts: &RunOpts) -> Result<String, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in report_jobs(profiles) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(report_assemble(profiles, &sweep.run()?))
+    let results = run_batch(opts, report_jobs(profiles), default_threads(), &|_, _| {})?;
+    Ok(report_assemble(profiles, &results))
 }
 
 /// The ablations report as a [`FigurePlan`] for the pipeline.

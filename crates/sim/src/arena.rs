@@ -9,8 +9,8 @@
 //! ranked by mean IPC delta over the baseline; coverage, accuracy, DRAM
 //! energy, and prefetch traffic complete the scoreboard.
 //!
-//! Every job goes through [`crate::sweep::Sweep`] and the cross-figure
-//! run cache: the baseline column is byte-for-byte the NP configuration
+//! Every job goes through the [`crate::pipeline`] executor and the
+//! cross-figure run cache: the baseline column is byte-for-byte the NP configuration
 //! of the paper's four-way comparisons, so an arena following the figure
 //! suite pays for zero baseline simulations, and re-running the arena in
 //! the same process is entirely cache hits. Results are bit-identical
@@ -19,9 +19,8 @@
 use crate::config::{engine_by_name, engine_names, PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::mean;
-use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue};
+use crate::pipeline::{default_threads, run_batch, FigureOutput, FigurePlan, Job, MetricValue};
 use crate::report::{pct, ratio, Table};
-use crate::sweep::Sweep;
 use crate::system::RunResult;
 use asd_mc::EngineKind;
 use asd_telemetry::{names, Registry, TelemetryConfig, Unit};
@@ -84,7 +83,7 @@ pub fn arena(opts: &RunOpts) -> Result<ArenaResult, SimError> {
 /// # Errors
 ///
 /// [`SimError::UnknownEngine`] for an unrecognized engine name, plus any
-/// sweep error.
+/// job error.
 pub fn arena_with(
     engines: &[&str],
     profiles: &[WorkloadProfile],
@@ -92,12 +91,10 @@ pub fn arena_with(
 ) -> Result<ArenaResult, SimError> {
     let threads = if opts.smt { 2 } else { 1 };
     let kinds = resolve_roster(engines)?;
-    let mut sweep = Sweep::new(opts);
-    for job in arena_jobs(&kinds, profiles, threads) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
+    let jobs = arena_jobs(&kinds, profiles, threads);
+    let results = run_batch(opts, jobs, default_threads(), &|_, _| {})?;
     let names: Vec<String> = kinds.into_iter().map(|(n, _)| n).collect();
-    Ok(arena_assemble(&names, profiles, &sweep.run()?))
+    Ok(arena_assemble(&names, profiles, &results))
 }
 
 /// Resolve the whole roster up front so a typo fails before any

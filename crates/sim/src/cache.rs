@@ -5,9 +5,10 @@
 //! figures that sweep overlapping grids — fig13's PMS column repeats
 //! fig6's, the PB/LPQ size sweeps of fig14/fig15 include the default
 //! point, fig11's first configuration is the stock PMS machine — can
-//! share one simulation per distinct point. [`Sweep`](crate::sweep::Sweep)
-//! consults this process-wide cache before running a job and re-stamps
-//! the cached [`RunResult`] with the job's label.
+//! share one simulation per distinct point.
+//! [`run_custom`](crate::experiment::run_custom), which every pipeline
+//! node runs through, consults this process-wide cache before simulating
+//! and re-stamps the cached [`RunResult`] with the job's label.
 //!
 //! **Soundness.** The key is the full `Debug` rendering of every input
 //! (no hashing, so no collisions); entries are stored with the label
@@ -203,8 +204,12 @@ fn decode_disk_record(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
 /// returned result carries an empty label, exactly like the memory
 /// store's entries.
 fn disk_load(key: &str) -> Option<RunResult> {
-    let dir = disk_dir()?;
-    let path = disk_path(&dir, key);
+    disk_load_in(&disk_dir()?, key)
+}
+
+/// [`disk_load`] against an explicit directory.
+fn disk_load_in(dir: &Path, key: &str) -> Option<RunResult> {
+    let path = disk_path(dir, key);
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(_) => {
@@ -234,13 +239,19 @@ fn disk_load(key: &str) -> Option<RunResult> {
 /// Persist a (label-cleared) result under `key`. Failures are silent —
 /// the disk tier is an optimization, never a correctness dependency.
 fn disk_store(key: &str, stored: &RunResult) {
-    let Some(dir) = disk_dir() else { return };
+    if let Some(dir) = disk_dir() {
+        disk_store_in(&dir, key, stored);
+    }
+}
+
+/// [`disk_store`] against an explicit directory.
+fn disk_store_in(dir: &Path, key: &str, stored: &RunResult) {
     let Some(payload) = crate::wire::encode_result(stored) else { return };
-    if std::fs::create_dir_all(&dir).is_err() {
+    if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let record = encode_disk_record(key, &payload);
-    let final_path = disk_path(&dir, key);
+    let final_path = disk_path(dir, key);
     let tmp = dir.join(format!("{:016x}.tmp-{}", fnv64(key), std::process::id()));
     let write = std::fs::File::create(&tmp)
         .and_then(|mut f| f.write_all(&record).and_then(|()| f.sync_all()));
@@ -260,12 +271,16 @@ fn disk_store(key: &str, stored: &RunResult) {
 ///
 /// Any I/O error reading the directory or writing the index.
 pub fn persist_disk_index() -> std::io::Result<usize> {
-    let Some(dir) = disk_dir() else { return Ok(0) };
+    disk_dir().map_or(Ok(0), |dir| persist_disk_index_in(&dir))
+}
+
+/// [`persist_disk_index`] against an explicit directory.
+fn persist_disk_index_in(dir: &Path) -> std::io::Result<usize> {
     // An idle daemon may shut down before its first disk write; an empty
     // index is still a valid index.
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(dir)?;
     let mut lines: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&dir)? {
+    for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.extension().and_then(|e| e.to_str()) != Some("run") {
             continue;
@@ -288,8 +303,12 @@ pub fn persist_disk_index() -> std::io::Result<usize> {
 /// Number of valid-looking record files currently in the disk tier (a
 /// cheap directory scan; contents are not verified).
 pub fn disk_entry_count() -> usize {
-    let Some(dir) = disk_dir() else { return 0 };
-    let Ok(entries) = std::fs::read_dir(&dir) else { return 0 };
+    disk_dir().map_or(0, |dir| disk_entry_count_in(&dir))
+}
+
+/// [`disk_entry_count`] against an explicit directory.
+fn disk_entry_count_in(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else { return 0 };
     entries
         .filter_map(Result::ok)
         .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("run"))
@@ -551,13 +570,6 @@ mod tests {
         assert_eq!(key(&cfg, &milc(), &opts), None);
     }
 
-    /// Disk-tier tests mutate the process-global directory slot, so they
-    /// serialize on this lock and restore `None` before releasing it.
-    fn disk_test_lock() -> &'static Mutex<u32> {
-        static LOCK: OnceLock<Mutex<u32>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(0))
-    }
-
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("asd-cache-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -593,23 +605,23 @@ mod tests {
 
     #[test]
     fn disk_tier_stores_loads_and_evicts_corrupt_records() {
-        let _guard = disk_test_lock().lock().expect("test lock");
+        // The explicit-directory forms: sibling tests' simulations write
+        // through the global slot and can never reach this directory.
         let dir = scratch_dir("roundtrip");
-        set_disk_dir(Some(dir.clone()));
         let result = sample_result();
         let mut stored = result.clone();
         stored.config = String::new();
 
         let key = "disk-tier-test|roundtrip";
-        disk_store(key, &stored);
+        disk_store_in(&dir, key, &stored);
         let path = disk_path(&dir, key);
         assert!(path.exists(), "record file written");
-        let loaded = disk_load(key).expect("disk hit");
+        let loaded = disk_load_in(&dir, key).expect("disk hit");
         assert_eq!(format!("{loaded:?}"), format!("{stored:?}"));
 
         // A key that hashes elsewhere misses without touching the record.
         let (_, _, _, ev0) = disk_stats();
-        assert!(disk_load("disk-tier-test|other").is_none());
+        assert!(disk_load_in(&dir, "disk-tier-test|other").is_none());
         assert!(path.exists());
 
         // Corrupt the payload: the load fails, the record is evicted,
@@ -618,18 +630,18 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).expect("write corrupt record");
-        assert!(disk_load(key).is_none(), "corrupt record must not decode");
+        assert!(disk_load_in(&dir, key).is_none(), "corrupt record must not decode");
         assert!(!path.exists(), "corrupt record evicted");
         let (_, _, _, ev1) = disk_stats();
         assert!(ev1 > ev0, "eviction counted");
 
-        set_disk_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn disk_tier_serves_get_after_memory_miss() {
-        let _guard = disk_test_lock().lock().expect("test lock");
+        // The only test that sets the process-global directory slot: `get`
+        // reads the disk tier through it.
         let dir = scratch_dir("get");
         set_disk_dir(Some(dir.clone()));
         let mut stored = sample_result();
@@ -655,22 +667,19 @@ mod tests {
 
     #[test]
     fn disk_index_lists_valid_records() {
-        let _guard = disk_test_lock().lock().expect("test lock");
         let dir = scratch_dir("index");
-        set_disk_dir(Some(dir.clone()));
         let mut stored = sample_result();
         stored.config = String::new();
-        disk_store("disk-tier-test|index-a", &stored);
-        disk_store("disk-tier-test|index-b", &stored);
+        disk_store_in(&dir, "disk-tier-test|index-a", &stored);
+        disk_store_in(&dir, "disk-tier-test|index-b", &stored);
         std::fs::write(dir.join("feedbeefdeadc0de.run"), b"garbage").expect("write junk");
-        assert_eq!(disk_entry_count(), 3);
-        let indexed = persist_disk_index().expect("index written");
+        assert_eq!(disk_entry_count_in(&dir), 3);
+        let indexed = persist_disk_index_in(&dir).expect("index written");
         assert_eq!(indexed, 2, "only valid records indexed");
         let body = std::fs::read_to_string(dir.join("index.txt")).expect("index file");
         assert!(body.contains("disk-tier-test|index-a"));
         assert!(body.contains("\tmilc\t"));
 
-        set_disk_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

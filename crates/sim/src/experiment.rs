@@ -2,7 +2,7 @@
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::sweep::Sweep;
+use crate::pipeline::{default_threads, run_batch};
 use crate::system::{RunResult, System};
 use asd_trace::WorkloadProfile;
 
@@ -24,8 +24,8 @@ pub fn run_benchmark(
 }
 
 /// Run one benchmark under a fully custom system configuration. This is
-/// the single cached-run entry point: every sweep job, pipeline node,
-/// and ad-hoc driver call lands here, so cacheable runs share both the
+/// the single cached-run entry point: every pipeline node and ad-hoc
+/// driver call lands here, so cacheable runs share both the
 /// cross-figure [`crate::cache`] store *and* its single-flight registry —
 /// two concurrent callers with the same key produce exactly one
 /// simulation, with the second joining the first's in-flight run.
@@ -153,8 +153,9 @@ pub(crate) fn four_way_assemble(
 }
 
 /// Run the four-configuration comparison for every profile, fanning all
-/// `4 x profiles.len()` simulations across threads via [`Sweep`]. Results
-/// are bit-identical to calling [`FourWay::run`] per profile.
+/// `4 x profiles.len()` simulations across threads through one
+/// [`crate::pipeline::run_batch`]. Results are bit-identical to calling
+/// [`FourWay::run`] per profile.
 ///
 /// # Errors
 ///
@@ -163,11 +164,9 @@ pub fn four_way_suite(
     profiles: &[WorkloadProfile],
     opts: &RunOpts,
 ) -> Result<Vec<FourWay>, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in four_way_jobs(profiles, opts) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(four_way_assemble(profiles, &sweep.run()?))
+    let jobs = four_way_jobs(profiles, opts);
+    let results = run_batch(opts, jobs, default_threads(), &|_, _| {})?;
+    Ok(four_way_assemble(profiles, &results))
 }
 
 /// Arithmetic mean of a slice (the paper reports unweighted averages).

@@ -1,19 +1,16 @@
-//! One driver per table/figure of the paper. Every function returns the
-//! structured data behind the figure plus a rendered text table, so the
-//! bench harness, examples, and tests share one implementation.
-//!
-//! All multi-run drivers fan their simulations across OS threads through
-//! [`crate::sweep::Sweep`]; results are bit-identical to the serial
-//! equivalents.
+//! One entry per table/figure of the paper. The single-run studies
+//! (SLH figures, telemetry, hardware cost) are plain functions returning
+//! the structured data plus rendered text; every multi-run figure is a
+//! [`FigurePlan`] in the [`plan`] catalog, whose jobs run on the
+//! [`crate::pipeline`] executor — bit-identical for any worker count.
 
 use crate::config::{PrefetchKind, RunOpts, SystemConfig};
 use crate::error::SimError;
-use crate::experiment::{four_way_assemble, four_way_jobs, four_way_suite, mean, FourWay};
+use crate::experiment::{four_way_assemble, four_way_jobs, mean, FourWay};
 use crate::pipeline::{FigureOutput, FigurePlan, Job, MetricValue};
 use crate::report::{pct, ratio, Table};
 use crate::slh_study::{self, EpochSlh};
 use crate::source::{TraceSource, TraceStream};
-use crate::sweep::Sweep;
 use crate::system::{RunResult, System};
 use asd_core::cost::{hardware_cost, CostParams};
 use asd_core::{AsdConfig, LpqPolicy};
@@ -119,16 +116,6 @@ pub struct PerfRow {
     pub pms_vs_ps: f64,
 }
 
-/// Run the four configurations for every benchmark of a suite (all
-/// `4 x N` simulations in parallel).
-///
-/// # Errors
-///
-/// As [`four_way_suite`].
-pub fn suite_results(suite: Suite, opts: &RunOpts) -> Result<Vec<FourWay>, SimError> {
-    four_way_suite(&suite.profiles(), opts)
-}
-
 /// Figures 5 (SPEC2006fp), 6 (NAS), 7 (commercial): performance gains.
 pub fn perf_figure(results: &[FourWay], title: &str) -> (Vec<PerfRow>, String) {
     let rows: Vec<PerfRow> = results
@@ -211,11 +198,11 @@ pub fn fig11_configs() -> Vec<(String, McConfig)> {
 /// One benchmark's bars in Figure 11: execution time of each configuration
 /// normalized to ASD + Adaptive Scheduling.
 #[derive(Debug, Clone)]
-pub struct Fig11Row {
+struct Fig11Row {
     /// Benchmark name.
-    pub benchmark: String,
+    benchmark: String,
     /// `(label, normalized execution time)` per configuration.
-    pub bars: Vec<(String, f64)>,
+    bars: Vec<(String, f64)>,
 }
 
 /// The Figure 11 job list: eight configurations per selected benchmark,
@@ -261,20 +248,6 @@ fn fig11_assemble(results: &[RunResult]) -> (Vec<Fig11Row>, String) {
         );
     }
     (rows, format!("Figure 11: normalized execution time (ASD+Adaptive = 1.0)\n{}", t.render()))
-}
-
-/// Figure 11: Adaptive Stream Detection + Adaptive Scheduling against the
-/// five fixed policies and the two alternative memory-side engines, on the
-/// eight selected benchmarks.
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig11_scheduling(opts: &RunOpts) -> Result<(Vec<Fig11Row>, String), SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in fig11_jobs() {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(fig11_assemble(&sweep.run()?))
 }
 
 /// Figure 12: stream-length shares (fraction of streams of length 1–5) for
@@ -328,15 +301,15 @@ pub fn fig12_stream_lengths_from(
 
 /// One row of Figure 13.
 #[derive(Debug, Clone)]
-pub struct EfficiencyRow {
+struct EfficiencyRow {
     /// Benchmark name.
-    pub benchmark: String,
+    benchmark: String,
     /// Useful-prefetch fraction, percent (paper: 82–91%).
-    pub useful: f64,
+    useful: f64,
     /// Coverage, percent (paper: 19–34%).
-    pub coverage: f64,
+    coverage: f64,
     /// Delayed regular commands, percent (paper: 1–3%).
-    pub delayed: f64,
+    delayed: f64,
 }
 
 /// The Figure 13 job list: one PMS run per selected benchmark.
@@ -369,27 +342,14 @@ fn fig13_assemble(results: &[RunResult]) -> (Vec<EfficiencyRow>, String) {
     (rows, format!("Figure 13: effectiveness of memory-side prefetching (PMS)\n{}", t.render()))
 }
 
-/// Figure 13: prefetch efficiency of the PMS configuration on the eight
-/// selected benchmarks.
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig13_efficiency(opts: &RunOpts) -> Result<(Vec<EfficiencyRow>, String), SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in fig13_jobs(opts) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(fig13_assemble(&sweep.run()?))
-}
-
-/// Sensitivity sweep row: performance of each size, normalized to the
+/// Sensitivity row: performance of each size, normalized to the
 /// paper's default.
 #[derive(Debug, Clone)]
-pub struct SweepRow {
+struct SizeRow {
     /// Benchmark name.
-    pub benchmark: String,
+    benchmark: String,
     /// `(size, relative performance)` — higher is better, 1.0 = default.
-    pub points: Vec<(usize, f64)>,
+    points: Vec<(usize, f64)>,
 }
 
 /// The job list behind Figures 14/15: one PMS run per (benchmark, size),
@@ -412,7 +372,7 @@ fn size_sweep_assemble(
     sizes: &[usize],
     default_size: usize,
     results: &[RunResult],
-) -> Vec<SweepRow> {
+) -> Vec<SizeRow> {
     suites::selected_eight()
         .iter()
         .zip(results.chunks(sizes.len()))
@@ -424,7 +384,7 @@ fn size_sweep_assemble(
                 .map(|(_, r)| r.cycles as f64)
                 // asd-lint: allow(D005) -- private helper; every caller passes a literal `sizes` array containing `default_size`
                 .expect("default size in sweep");
-            SweepRow {
+            SizeRow {
                 benchmark: profile.name.clone(),
                 points: sizes
                     .iter()
@@ -436,32 +396,18 @@ fn size_sweep_assemble(
         .collect()
 }
 
-fn size_sweep<F: Fn(usize) -> McConfig>(
-    sizes: &[usize],
-    default_size: usize,
-    make: F,
-    opts: &RunOpts,
-) -> Result<Vec<SweepRow>, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in size_sweep_jobs(sizes, make) {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(size_sweep_assemble(sizes, default_size, &sweep.run()?))
-}
-
 /// The literals defining one size-sensitivity figure (14 or 15): the
 /// swept sizes, the normalization point, the config constructor, and the
-/// table title. One definition feeds both the classic driver and the
-/// pipeline plan.
-struct SizeSweepSpec {
+/// table title.
+struct SizeStudy {
     sizes: [usize; 4],
     default_size: usize,
     make: fn(usize) -> McConfig,
     title: &'static str,
 }
 
-fn fig14_spec() -> SizeSweepSpec {
-    SizeSweepSpec {
+fn fig14_spec() -> SizeStudy {
+    SizeStudy {
         sizes: [8, 16, 32, 1024],
         default_size: 16,
         make: |s| McConfig { pb_lines: s, pb_assoc: 4, ..McConfig::default() },
@@ -469,8 +415,8 @@ fn fig14_spec() -> SizeSweepSpec {
     }
 }
 
-fn fig15_spec() -> SizeSweepSpec {
-    SizeSweepSpec {
+fn fig15_spec() -> SizeStudy {
+    SizeStudy {
         sizes: [4, 8, 16, 64],
         default_size: 8,
         make: |s| McConfig {
@@ -481,35 +427,7 @@ fn fig15_spec() -> SizeSweepSpec {
     }
 }
 
-fn size_sweep_figure(
-    spec: &SizeSweepSpec,
-    opts: &RunOpts,
-) -> Result<(Vec<SweepRow>, String), SimError> {
-    let rows = size_sweep(&spec.sizes, spec.default_size, spec.make, opts)?;
-    let text = render_sweep(&rows, &spec.sizes, spec.title);
-    Ok((rows, text))
-}
-
-/// Figure 14: sensitivity of PMS to Prefetch Buffer size
-/// (8/16/32/1024 lines).
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig14_buffer_size(opts: &RunOpts) -> Result<(Vec<SweepRow>, String), SimError> {
-    size_sweep_figure(&fig14_spec(), opts)
-}
-
-/// Figure 15: sensitivity of PMS to Stream Filter size (4/8/16/64 slots).
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn fig15_filter_size(opts: &RunOpts) -> Result<(Vec<SweepRow>, String), SimError> {
-    size_sweep_figure(&fig15_spec(), opts)
-}
-
-fn render_sweep(rows: &[SweepRow], sizes: &[usize], title: &str) -> String {
+fn render_sweep(rows: &[SizeRow], sizes: &[usize], title: &str) -> String {
     let mut header = vec!["benchmark".to_string()];
     header.extend(sizes.iter().map(|s| s.to_string()));
     let mut t = Table::new(header);
@@ -686,19 +604,6 @@ fn smt_assemble(results: &[RunResult]) -> String {
     format!("SMT results (two threads, per-thread filters and LHTs)\n{}", t.render())
 }
 
-/// §5.2 SMT results: suite-average gains with two SMT threads.
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn smt_table(opts: &RunOpts) -> Result<String, SimError> {
-    let mut sweep = Sweep::new(&smt_opts(opts));
-    for job in smt_jobs() {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(smt_assemble(&sweep.run()?))
-}
-
 /// The §5.3 schedulers, in table-row order.
 const SCHED_KINDS: [(&str, SchedulerKind); 3] = [
     ("in-order", SchedulerKind::InOrder),
@@ -736,20 +641,6 @@ fn sched_assemble(results: &[RunResult]) -> String {
         t.row([(*name).to_string(), pct(mean(&gains))]);
     }
     format!("Scheduler interaction (§5.3): prefetcher benefit by memory scheduler\n{}", t.render())
-}
-
-/// §5.3 scheduler interaction: PMS-over-NP gain under each reorder-queue
-/// scheduler, averaged over the eight selected benchmarks.
-///
-/// # Errors
-///
-/// As [`Sweep::run`].
-pub fn scheduler_interaction_table(opts: &RunOpts) -> Result<String, SimError> {
-    let mut sweep = Sweep::new(opts);
-    for job in sched_jobs() {
-        sweep.push(&job.profile, job.cfg, &job.label);
-    }
-    Ok(sched_assemble(&sweep.run()?))
 }
 
 fn perf_metric_list(rows: &[PerfRow]) -> Vec<(String, MetricValue)> {
@@ -986,9 +877,8 @@ pub fn plan_sized(name: &str, opts: &RunOpts, uniform: bool) -> Result<FigurePla
 /// Regenerate one figure by catalog name and return its rendered text —
 /// the single dispatch table behind both the `figures` CLI and the
 /// `asd-serve` daemon, so a figure fetched from either path is
-/// byte-identical by construction. Implemented as [`plan`] + barrier-mode
-/// [`FigurePlan::run`], which also guarantees CLI/daemon/pipeline
-/// identity. Size overrides mirror the CLI: `fig3` runs at 150 000
+/// byte-identical by construction. Implemented as [`plan`] +
+/// [`FigurePlan::run`] (a one-figure pipeline). Size overrides mirror the CLI: `fig3` runs at 150 000
 /// accesses and `smt` at 30 000 regardless of `opts.accesses`;
 /// everything else uses `opts` as given.
 ///
@@ -1018,12 +908,20 @@ mod tests {
 
     #[test]
     fn fig13_produces_rows() {
-        let (rows, text) = fig13_efficiency(&tiny()).unwrap();
-        assert_eq!(rows.len(), 8);
-        assert!(text.contains("coverage"));
-        for r in &rows {
-            assert!((0.0..=100.0).contains(&r.coverage), "{}: {}", r.benchmark, r.coverage);
-            assert!((0.0..=100.0).contains(&r.useful));
+        let output = plan("fig13", &tiny()).unwrap().run().unwrap();
+        assert!(output.text.contains("coverage"));
+        let metric = |key: &str| match output.metrics.iter().find(|(k, _)| k == key) {
+            Some((_, MetricValue::U64(n))) => *n as f64,
+            Some((_, MetricValue::F64(x))) => *x,
+            other => panic!("{key}: {other:?}"),
+        };
+        assert_eq!(metric("benchmarks"), 8.0);
+        for key in ["mean_useful_pct", "mean_coverage_pct"] {
+            assert!((0.0..=100.0).contains(&metric(key)), "{key}: {}", metric(key));
+        }
+        // One table row per selected benchmark, in catalog order.
+        for profile in suites::selected_eight() {
+            assert!(output.text.contains(&profile.name), "{}", profile.name);
         }
     }
 

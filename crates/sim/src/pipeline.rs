@@ -1,13 +1,11 @@
-//! Global job-graph executor: one scheduler for every requested figure.
+//! The simulation job executor: one scheduler for every batch and every
+//! requested figure.
 //!
-//! The barrier problem. `figures all` historically ran as 19+ sequential
-//! barriers — each figure built its own [`Sweep`], blocked on
-//! `sweep.run()`, then the next figure started. Total wall time was the
-//! *sum* of per-figure critical paths, and the tail of every sweep left
-//! most workers idle.
-//!
-//! This module replaces the barriers with a declarative split. Each
-//! figure becomes a [`FigurePlan`]: a list of [`Job`]s (the simulations
+//! Every figure in the paper is built from dozens of independent
+//! simulations (benchmark x configuration), each fully determined by its
+//! [`SystemConfig`], [`WorkloadProfile`], and [`RunOpts`]. This module
+//! is the only place those simulations are fanned across OS threads.
+//! Each figure is a [`FigurePlan`]: a list of [`Job`]s (the simulations
 //! it needs) plus a pure `assemble(&[RunResult]) -> FigureOutput`
 //! closure (the formatting). A [`Pipeline`] accepts the union of all
 //! requested figures' plans at once:
@@ -18,7 +16,7 @@
 //!   jobs (trace-sourced, anonymous custom engines, cache disabled)
 //!   always get their own node.
 //! - **One work queue.** All nodes drain through a single shrinking-chunk
-//!   [`Chunker`] — the same claiming discipline [`Sweep::run`] uses — so
+//!   claim cursor on a scoped thread pool (`std::thread::scope`), so
 //!   there is no idle tail between figures.
 //! - **Eager assembly.** A figure's `assemble` runs on whichever worker
 //!   deposits its last outstanding node; slow figures never block
@@ -26,10 +24,15 @@
 //!   consumer assembles ([`PipelineStats::peak_live_jobs`] tracks the
 //!   high-water mark).
 //! - **Deterministic output.** [`Pipeline::run`] returns figures in
-//!   submission order with results re-stamped per job label, so graph
-//!   mode is bit-identical to barrier mode. On failure it reports the
-//!   earliest submission-order figure's earliest job error — the same
-//!   error [`Sweep::run`] would pick.
+//!   submission order with results re-stamped per job label, so the
+//!   output is bit-identical for every worker count. On failure it
+//!   reports the earliest submission-order figure's earliest job-order
+//!   error, whichever worker hit an error first.
+//!
+//! Callers that want a flat result list rather than a figure use
+//! [`run_batch`], which submits a one-plan graph and hands back the
+//! plan's results in job order. A single figure runs through
+//! [`FigurePlan::run`], a one-figure pipeline.
 //!
 //! Node execution goes through [`crate::experiment::run_custom`], which
 //! adds the cache's *single-flight* registry: even two independent
@@ -37,21 +40,26 @@
 //! same key run one simulation, with the loser joining the winner's
 //! in-flight run (see [`crate::cache::flight_stats`]).
 //!
-//! The `ASD_PIPELINE=barrier` environment variable ([`barrier_mode`])
-//! restores the sequential per-figure behavior for A/B verification;
-//! [`FigurePlan::run`] is exactly that fallback.
+//! The worker count is an explicit argument ([`Pipeline::with_threads`],
+//! [`run_batch`]) and defaults to [`default_threads`]; this crate reads
+//! no environment variable to choose it.
 
 use crate::config::{RunOpts, SystemConfig};
 use crate::error::SimError;
 use crate::experiment::run_custom;
-use crate::sweep::{worker_count, Chunker, Sweep};
 use crate::system::RunResult;
 use asd_trace::WorkloadProfile;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// The default worker count: the machine's available parallelism.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+}
 
 /// One simulation a figure needs: a workload under a configuration,
-/// with a label for reporting (mirrors what [`Sweep::push`] takes).
+/// with a label for reporting.
 pub struct Job {
     /// Workload to simulate.
     pub profile: WorkloadProfile,
@@ -62,7 +70,7 @@ pub struct Job {
 }
 
 impl Job {
-    /// Convenience constructor mirroring [`Sweep::push`].
+    /// A job from borrowed parts.
     pub fn new(profile: &WorkloadProfile, cfg: SystemConfig, label: &str) -> Self {
         Job { profile: profile.clone(), cfg, label: label.to_string() }
     }
@@ -107,13 +115,13 @@ impl FigureOutput {
 
 /// The assembly half of a figure: a pure function from the figure's run
 /// results (in job order, labels re-stamped) to its output.
-pub type AssembleFn = Box<dyn FnOnce(&[RunResult]) -> Result<FigureOutput, SimError> + Send>;
+type AssembleFn = Box<dyn FnOnce(Vec<RunResult>) -> Result<FigureOutput, SimError> + Send>;
 
 /// A figure as data: its name, effective run options, required
 /// simulations, and assembly closure. Built by the catalog in
 /// [`crate::figures::plan`] (and [`crate::arena::arena_plan`]); executed
-/// either standalone ([`FigurePlan::run`], the barrier path) or
-/// submitted to a [`Pipeline`].
+/// alone ([`FigurePlan::run`]) or submitted to a [`Pipeline`] with
+/// other figures.
 pub struct FigurePlan {
     name: String,
     opts: RunOpts,
@@ -134,7 +142,7 @@ impl FigurePlan {
             name: name.to_string(),
             opts: opts.clone(),
             jobs,
-            assemble: Box::new(assemble),
+            assemble: Box::new(move |results: Vec<RunResult>| assemble(&results)),
         }
     }
 
@@ -143,35 +151,61 @@ impl FigurePlan {
         &self.name
     }
 
-    /// Number of simulations the plan requests (before any dedup).
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Barrier-mode execution: run the plan's jobs through one
-    /// [`Sweep`] (push order = job order) and assemble. This is today's
-    /// per-figure behavior, kept as the `ASD_PIPELINE=barrier` fallback.
+    /// Run this figure alone: a one-figure [`Pipeline`] on
+    /// [`default_threads`] workers.
     ///
     /// # Errors
     ///
-    /// The earliest (job-order) failing job's [`SimError`], as
-    /// [`Sweep::run`]; or the assembly's own error.
+    /// The earliest (job-order) failing job's [`SimError`], or the
+    /// assembly's own error.
     pub fn run(self) -> Result<FigureOutput, SimError> {
-        let mut sweep = Sweep::new(&self.opts);
-        for job in &self.jobs {
-            sweep.push(&job.profile, job.cfg.clone(), &job.label);
+        let mut pipe = Pipeline::new();
+        pipe.submit(self);
+        match pipe.run(&|| 0.0)?.figures.pop() {
+            Some(figure) => Ok(figure.output),
+            // asd-lint: allow(D005) -- a one-figure pipeline that returns Ok holds exactly one output
+            None => unreachable!("one-figure pipeline returned no figure"),
         }
-        let results = sweep.run()?;
-        (self.assemble)(&results)
     }
 }
 
-/// Pipeline execution mode from the `ASD_PIPELINE` environment variable:
-/// `true` when set to `barrier` (sequential per-figure sweeps), `false`
-/// otherwise (the global job graph). Read once per process.
-pub fn barrier_mode() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| std::env::var("ASD_PIPELINE").is_ok_and(|v| v == "barrier"))
+/// Run `jobs` under `opts` on `threads` workers and return their results
+/// in job order — the flat-batch entry of the executor. The jobs form
+/// one plan in a one-plan [`Pipeline`], so identical cacheable jobs
+/// share a node; each result still carries its own job's label.
+///
+/// `progress(done, total)` fires once per job, from whichever worker
+/// finished it; `total` is `jobs.len()` even when jobs share a node, and
+/// `done` takes each value `1..=total` once (concurrent workers may
+/// deliver two calls out of order; on one worker the last call is
+/// `(total, total)`). Observers must be cheap and thread-safe; the
+/// daemon uses this to stream per-job progress events.
+///
+/// # Errors
+///
+/// The earliest (job-order) failing job's [`SimError`], regardless of
+/// which worker hit an error first.
+pub fn run_batch(
+    opts: &RunOpts,
+    jobs: Vec<Job>,
+    threads: usize,
+    progress: &(dyn Fn(usize, usize) + Sync),
+) -> Result<Vec<RunResult>, SimError> {
+    let sink: Arc<Mutex<Vec<RunResult>>> = Arc::default();
+    let out = Arc::clone(&sink);
+    let mut pipe = Pipeline::new().with_threads(threads);
+    pipe.submit(FigurePlan {
+        name: "batch".to_string(),
+        opts: opts.clone(),
+        jobs,
+        assemble: Box::new(move |results| {
+            *out.lock().unwrap_or_else(PoisonError::into_inner) = results;
+            Ok(FigureOutput::text_only(String::new()))
+        }),
+    });
+    pipe.execute(&|| 0.0, progress)?;
+    let results = std::mem::take(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner));
+    Ok(results)
 }
 
 /// A deduplicated simulation point: the first submitter's label and the
@@ -255,8 +289,8 @@ impl Pipeline {
         Pipeline::default()
     }
 
-    /// Override the worker-thread count (defaults to `ASD_SWEEP_THREADS`
-    /// or the machine's available parallelism, like [`Sweep`]).
+    /// Set the worker-thread count (default [`default_threads`]; `1`
+    /// runs every node on the calling thread).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -346,19 +380,32 @@ impl Pipeline {
     /// # Errors
     ///
     /// The earliest submission-order figure's earliest job-order
-    /// [`SimError`] (matching [`Sweep::run`] semantics per figure), or
-    /// the first figure's assembly error.
+    /// [`SimError`], or the first figure's assembly error.
     pub fn run(self, clock: &(dyn Fn() -> f64 + Sync)) -> Result<PipelineRun, SimError> {
+        self.execute(clock, &|_, _| {})
+    }
+
+    /// [`Pipeline::run`] with a per-job progress observer (see
+    /// [`run_batch`]).
+    fn execute(
+        self,
+        clock: &(dyn Fn() -> f64 + Sync),
+        progress: &(dyn Fn(usize, usize) + Sync),
+    ) -> Result<PipelineRun, SimError> {
         let Pipeline { nodes, figures, submitted, joins, threads, .. } = self;
         let total = nodes.len();
-        let workers = threads.unwrap_or_else(worker_count).clamp(1, total.max(1));
+        let workers = threads.unwrap_or_else(default_threads).clamp(1, total.max(1));
 
         let slots: Vec<ResultSlot> = (0..total).map(|_| Mutex::new(None)).collect();
         let outputs: Vec<OutputSlot> = figures.iter().map(|_| Mutex::new(None)).collect();
         let mut consumers_of: Vec<Vec<usize>> = vec![Vec::new(); total];
+        let mut jobs_of: Vec<usize> = vec![0; total];
         for (f, fig) in figures.iter().enumerate() {
             for &n in &fig.deps {
                 consumers_of[n].push(f);
+            }
+            for &n in &fig.node_of_job {
+                jobs_of[n] += 1;
             }
         }
         let mut track = Track {
@@ -384,11 +431,13 @@ impl Pipeline {
             nodes: &nodes,
             figures: &figures,
             consumers_of: &consumers_of,
+            jobs_of: &jobs_of,
             slots: &slots,
             outputs: &outputs,
             track: &Mutex::new(track),
             chunker: &Chunker::new(total, workers),
             clock,
+            progress: Progress { observer: progress, done: AtomicUsize::new(0), total: submitted },
         };
         std::thread::scope(|scope| {
             // One worker runs on the calling thread; spawning all of
@@ -400,8 +449,7 @@ impl Pipeline {
         });
 
         // Deterministic error selection, then output collection — in
-        // figure submission order, jobs in job order within each figure,
-        // mirroring Sweep::run's earliest-push-order-error contract.
+        // figure submission order, jobs in job order within each figure.
         let mut out = Vec::with_capacity(figures.len());
         for (f, fig) in figures.iter().enumerate() {
             for &n in &fig.node_of_job {
@@ -446,6 +494,53 @@ impl Pipeline {
 type ResultSlot = Mutex<Option<Result<RunResult, SimError>>>;
 type OutputSlot = Mutex<Option<(Result<FigureOutput, SimError>, f64)>>;
 
+/// A shrinking-chunk work cursor over `total` nodes.
+///
+/// Idle workers claim contiguous ranges via CAS on a shared cursor.
+/// Chunks shrink as the queue drains — roughly 1/(4·claimants) of the
+/// remaining work, clamped to `[1, 8]` — so early claims amortize the
+/// cursor contention while the tail degrades to single-node granularity
+/// and a long-pole node never strands the finish line behind one worker.
+struct Chunker {
+    next: AtomicUsize,
+    total: usize,
+    claimants: usize,
+}
+
+impl Chunker {
+    fn new(total: usize, claimants: usize) -> Self {
+        Chunker { next: AtomicUsize::new(0), total, claimants: claimants.max(1) }
+    }
+
+    /// Claim the next chunk as a half-open `(start, end)` range, or
+    /// `None` when the queue is drained.
+    fn claim(&self) -> Option<(usize, usize)> {
+        let mut cur = self.next.load(Ordering::Relaxed);
+        loop {
+            if cur >= self.total {
+                return None;
+            }
+            let chunk = ((self.total - cur) / (self.claimants * 4)).clamp(1, 8);
+            match self.next.compare_exchange_weak(
+                cur,
+                cur + chunk,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some((cur, cur + chunk)),
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+}
+
+/// The per-job progress observer of one run and its shared numerator.
+struct Progress<'a> {
+    observer: &'a (dyn Fn(usize, usize) + Sync),
+    done: AtomicUsize,
+    total: usize,
+}
+
 /// Mutable scheduling state shared by the workers, behind one mutex:
 /// per-figure outstanding-dependency counts, per-node remaining-consumer
 /// counts (for freeing results), the ready-to-assemble queue, and the
@@ -467,11 +562,14 @@ struct Exec<'a> {
     nodes: &'a [Node],
     figures: &'a [Planned],
     consumers_of: &'a [Vec<usize>],
+    /// Submitted jobs per node: how many progress ticks its result is.
+    jobs_of: &'a [usize],
     slots: &'a [ResultSlot],
     outputs: &'a [OutputSlot],
     track: &'a Mutex<Track>,
     chunker: &'a Chunker,
     clock: &'a (dyn Fn() -> f64 + Sync),
+    progress: Progress<'a>,
 }
 
 impl Exec<'_> {
@@ -525,6 +623,10 @@ impl Exec<'_> {
             let mut slot = self.slots[index].lock().expect("node slot poisoned");
             *slot = Some(result);
         }
+        let Progress { observer, done, total } = &self.progress;
+        for _ in 0..self.jobs_of[index] {
+            observer(done.fetch_add(1, Ordering::Relaxed) + 1, *total);
+        }
         let mut track = self.lock_track();
         if ok {
             track.live += 1;
@@ -574,7 +676,7 @@ impl Exec<'_> {
         // asd-lint: allow(D005) -- assemble mutex poisoning means a sibling worker panicked mid-run; propagating is correct
         let assemble = self.figures[f].assemble.lock().expect("assemble slot poisoned").take();
         let Some(assemble) = assemble else { return };
-        let output = assemble(&inputs);
+        let output = assemble(inputs);
         let wall_ms = (self.clock)();
         {
             // asd-lint: allow(D005) -- output poisoning means a sibling worker panicked mid-run; propagating is correct
@@ -599,5 +701,64 @@ impl Exec<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PrefetchKind;
+    use asd_trace::suites;
+
+    #[test]
+    fn chunker_claims_cover_everything_disjointly() {
+        let chunker = Chunker::new(103, 4);
+        let mut seen = [false; 103];
+        while let Some((start, end)) = chunker.claim() {
+            assert!(start < end && end <= 103);
+            for flag in &mut seen[start..end] {
+                assert!(!*flag, "range claimed twice");
+                *flag = true;
+            }
+        }
+        assert!(seen.iter().all(|&f| f), "every index claimed");
+        assert!(chunker.claim().is_none(), "drained cursor stays drained");
+    }
+
+    #[test]
+    fn batch_results_come_back_in_job_order() {
+        let mut jobs = Vec::new();
+        for bench in ["milc", "tonto", "lbm"] {
+            let profile = suites::by_name(bench).unwrap();
+            for kind in [PrefetchKind::Np, PrefetchKind::Pms] {
+                jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
+            }
+        }
+        let opts = RunOpts::default().with_accesses(3_000);
+        let results = run_batch(&opts, jobs, 4, &|_, _| {}).unwrap();
+        let labels: Vec<(&str, &str)> =
+            results.iter().map(|r| (r.benchmark.as_str(), r.config.as_str())).collect();
+        assert_eq!(
+            labels,
+            [
+                ("milc", "NP"),
+                ("milc", "PMS"),
+                ("tonto", "NP"),
+                ("tonto", "PMS"),
+                ("lbm", "NP"),
+                ("lbm", "PMS"),
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_batch_runs() {
+        let calls = AtomicUsize::new(0);
+        let results = run_batch(&RunOpts::quick(), Vec::new(), 2, &|_, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        assert!(results.is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no jobs, no progress");
     }
 }

@@ -19,7 +19,12 @@
 //! +30% figure is a real kernel regression. Figures present in only one
 //! of the two documents print as `info:` added/removed rows and never
 //! fail the run — a new figure's first landing (no baseline entry yet)
-//! must pass the gate. `bench-table` renders the
+//! must pass the gate. When both documents ran under identical
+//! top-level `opts`, a figure present in both whose `metrics` object
+//! differs prints an `error:` line and fails the run: the simulator is
+//! deterministic, so a changed metric is a changed scientific result.
+//! Documents with different `opts` print an `info:` line instead.
+//! `bench-table` renders the
 //! same comparison as a GitHub-flavored markdown table for the CI job
 //! summary.
 
@@ -76,6 +81,9 @@ fn run() -> Result<(), String> {
             for r in &d.removed {
                 println!("info: {r}: only in {baseline} (removed figure; not gated)");
             }
+            for i in &d.info {
+                println!("info: {i}");
+            }
             for w in &d.warnings {
                 println!("warning: {w}");
             }
@@ -91,7 +99,7 @@ fn run() -> Result<(), String> {
                 );
             } else {
                 return Err(format!(
-                    "{} figure(s) regressed by >= {fail:.0}% vs {baseline}",
+                    "{} figure(s) regressed by >= {fail:.0}% or changed metrics vs {baseline}",
                     d.failures.len()
                 ));
             }

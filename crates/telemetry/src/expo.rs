@@ -391,10 +391,66 @@ pub mod csv {
     }
 }
 
-/// Wall-time comparison of two `BENCH_figures.json` documents
-/// (`asd-bench-figures/1` schema): the CI regression guard.
+/// Comparison of two `BENCH_figures.json` documents
+/// (`asd-bench-figures/1` schema): the CI regression guard on wall times
+/// and on the figures' scientific outputs.
 pub mod bench_diff {
     use super::*;
+
+    /// `(name, metrics)` of every figure that carries a `metrics` object.
+    fn figure_metrics(doc: &JValue) -> Vec<(&str, &JValue)> {
+        doc.get("figures")
+            .and_then(|v| v.as_arr())
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|f| Some((f.get("name")?.as_str()?, f.get("metrics")?)))
+            .collect()
+    }
+
+    /// The members that differ between two metrics objects, as
+    /// `key: old -> new` (`-` for a missing side).
+    fn changed_keys(base: &JValue, cur: &JValue) -> String {
+        let (Some(b), Some(c)) = (base.as_obj(), cur.as_obj()) else {
+            return format!("{base:?} -> {cur:?}");
+        };
+        let show = |v: Option<&JValue>| match v {
+            Some(JValue::Num(x)) => x.to_string(),
+            Some(v) => format!("{v:?}"),
+            None => "-".to_string(),
+        };
+        let mut keys: Vec<&str> = Vec::new();
+        for (k, _) in b.iter().chain(c) {
+            if !keys.contains(&k.as_str()) {
+                keys.push(k);
+            }
+        }
+        keys.iter()
+            .filter(|k| base.get(k) != cur.get(k))
+            .map(|k| format!("{k}: {} -> {}", show(base.get(k)), show(cur.get(k))))
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+
+    /// Exact-equality gate on the figures' `metrics` objects. Only
+    /// reports run under identical top-level `opts` (run length, seed)
+    /// are comparable; otherwise the gate reports why it was skipped.
+    fn metric_changes(base: &JValue, cur: &JValue, out: &mut Diff) {
+        if base.get("opts") != cur.get("opts") {
+            out.info.push("run options differ; figure metrics not compared".to_string());
+            return;
+        }
+        let current = figure_metrics(cur);
+        for (name, b) in figure_metrics(base) {
+            if let Some((_, c)) = current.iter().find(|(n, _)| *n == name) {
+                if *c != b {
+                    out.failures.push(format!(
+                        "{name}: metrics changed under identical opts: {}",
+                        changed_keys(b, c)
+                    ));
+                }
+            }
+        }
+    }
 
     fn wall_times(doc: &JValue) -> Result<Vec<(String, f64)>, String> {
         let figures = doc
@@ -431,9 +487,13 @@ pub mod bench_diff {
     pub struct Diff {
         /// Figures past the warn threshold but under the fail threshold.
         pub warnings: Vec<String>,
-        /// Figures past the fail threshold — the CI gate exits nonzero on
-        /// any of these.
+        /// Figures past the fail threshold, and figures whose `metrics`
+        /// changed between reports with identical `opts` — the CI gate
+        /// exits nonzero on any of these.
         pub failures: Vec<String>,
+        /// Informational notes (the metrics gate skipped because the two
+        /// reports ran under different `opts`).
+        pub info: Vec<String>,
         /// Figures present only in the current report (informational: a
         /// new figure landing must not fail the gate on first landing).
         pub added: Vec<String>,
@@ -453,19 +513,26 @@ pub mod bench_diff {
     /// them fires on noise, not regressions. Figures present in only one
     /// of the two reports are never a regression: they land in
     /// [`Diff::added`] / [`Diff::removed`] as informational rows, so a
-    /// figure's first landing (or retirement) passes the gate. Parse
-    /// failures are errors.
+    /// figure's first landing (or retirement) passes the gate.
+    ///
+    /// When both reports carry identical top-level `opts`, every figure
+    /// present in both must also report an identical `metrics` object
+    /// (exact equality: the simulator is deterministic, so any change
+    /// is a change in the scientific output); a difference lands in
+    /// [`Diff::failures`]. Reports with different `opts` skip that gate
+    /// with a [`Diff::info`] note. Parse failures are errors.
     pub fn diff(
         baseline: &str,
         current: &str,
         warn_pct: f64,
         fail_pct: f64,
     ) -> Result<Diff, String> {
-        let base = wall_times(&JValue::parse(baseline).map_err(|e| format!("baseline: {e}"))?)
-            .map_err(|e| format!("baseline: {e}"))?;
-        let cur = wall_times(&JValue::parse(current).map_err(|e| format!("current: {e}"))?)
-            .map_err(|e| format!("current: {e}"))?;
+        let base_doc = JValue::parse(baseline).map_err(|e| format!("baseline: {e}"))?;
+        let cur_doc = JValue::parse(current).map_err(|e| format!("current: {e}"))?;
+        let base = wall_times(&base_doc).map_err(|e| format!("baseline: {e}"))?;
+        let cur = wall_times(&cur_doc).map_err(|e| format!("current: {e}"))?;
         let mut out = Diff::default();
+        metric_changes(&base_doc, &cur_doc, &mut out);
         for (name, _) in &cur {
             if !base.iter().any(|(n, _)| n == name) {
                 out.added.push(name.clone());
@@ -686,6 +753,38 @@ mod tests {
         let d = bench_diff::diff(old, cur, 20.0, 50.0).expect("parses");
         assert!(d.failures.is_empty() && d.warnings.is_empty(), "{d:?}");
         assert_eq!(d.added, vec!["pipeline.total_wall_ms"], "{d:?}");
+    }
+
+    #[test]
+    fn bench_diff_gates_metrics_under_identical_opts() {
+        let base = r#"{"opts":{"accesses":60000,"seed":1},"figures":[
+            {"name":"fig5","wall_ms":100.0,"metrics":{"mean":28.48,"benchmarks":6}},
+            {"name":"fig13","wall_ms":100.0,"metrics":{"mean":50.0}},
+            {"name":"gone","wall_ms":100.0,"metrics":{"n":1}}]}"#;
+        let cur = r#"{"opts":{"accesses":60000,"seed":1},"figures":[
+            {"name":"fig5","wall_ms":100.0,"metrics":{"mean":28.49,"benchmarks":6}},
+            {"name":"fig13","wall_ms":100.0,"metrics":{"mean":50.0}},
+            {"name":"new","wall_ms":100.0,"metrics":{"n":2}}]}"#;
+        let d = bench_diff::diff(base, cur, 20.0, 50.0).expect("parses");
+        // Only the figure present in both reports with a changed object
+        // fails; wall times are flat and roster changes stay info.
+        assert_eq!(d.failures.len(), 1, "{d:?}");
+        assert_eq!(
+            d.failures,
+            ["fig5: metrics changed under identical opts: mean: 28.48 -> 28.49"],
+            "{d:?}"
+        );
+        assert!(d.warnings.is_empty() && d.info.is_empty(), "{d:?}");
+
+        // Identical metrics pass.
+        let d = bench_diff::diff(base, base, 20.0, 50.0).expect("parses");
+        assert!(d.failures.is_empty() && d.info.is_empty(), "{d:?}");
+
+        // Different opts: not comparable, so an info line instead.
+        let other = cur.replace("\"seed\":1", "\"seed\":2");
+        let d = bench_diff::diff(base, &other, 20.0, 50.0).expect("parses");
+        assert!(d.failures.is_empty(), "{d:?}");
+        assert_eq!(d.info.len(), 1, "{d:?}");
     }
 
     #[test]

@@ -4,20 +4,29 @@
 //! the paper rests on this property; lints D001–D004 guard it statically,
 //! these tests guard it dynamically.
 
-use asd_sim::sweep::Sweep;
+use asd_sim::experiment::run_custom;
+use asd_sim::pipeline::{run_batch, Job};
 use asd_sim::RunResult;
 use asd_sim::{PrefetchKind, RunOpts, SystemConfig};
 use asd_trace::suites;
 
-fn seeded_sweep(opts: &RunOpts) -> Sweep {
-    let mut sweep = Sweep::new(opts);
+fn seeded_jobs() -> Vec<Job> {
+    let mut jobs = Vec::new();
     for bench in ["milc", "GemsFDTD", "tpcc"] {
         let profile = suites::by_name(bench).unwrap();
         for kind in [PrefetchKind::Np, PrefetchKind::Pms] {
-            sweep.push(&profile, SystemConfig::for_kind(kind, 1), kind.name());
+            jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
         }
     }
-    sweep
+    jobs
+}
+
+/// The serial reference: each job through `run_custom`, in job order.
+fn run_serial(opts: &RunOpts) -> Vec<RunResult> {
+    seeded_jobs()
+        .iter()
+        .map(|j| run_custom(&j.profile, j.cfg.clone(), &j.label, opts).unwrap())
+        .collect()
 }
 
 /// Every counter the simulator exposes, compared exactly — no tolerance.
@@ -39,30 +48,17 @@ fn assert_bit_identical(a: &[RunResult], b: &[RunResult], what: &str) {
 #[test]
 fn same_seed_twice_is_bit_identical_serially() {
     let opts = RunOpts::default().with_accesses(4_000);
-    let first = seeded_sweep(&opts).run_serial().unwrap();
-    let second = seeded_sweep(&opts).run_serial().unwrap();
+    let first = run_serial(&opts);
+    let second = run_serial(&opts);
     assert_bit_identical(&first, &second, "serial repeat");
 }
 
 #[test]
 fn four_worker_sweep_is_bit_identical_to_serial() {
     let opts = RunOpts::default().with_accesses(4_000);
-    let serial = seeded_sweep(&opts).run_serial().unwrap();
-    let parallel = seeded_sweep(&opts).with_threads(4).run().unwrap();
+    let serial = run_serial(&opts);
+    let parallel = run_batch(&opts, seeded_jobs(), 4, &|_, _| {}).unwrap();
     assert_bit_identical(&serial, &parallel, "4 workers vs serial");
-}
-
-#[test]
-fn env_var_worker_override_is_bit_identical_to_serial() {
-    // `ASD_SWEEP_THREADS` only applies when no explicit thread count is
-    // set; the other tests in this binary all set one, so the variable
-    // cannot leak into them even though tests share the process.
-    let opts = RunOpts::default().with_accesses(4_000);
-    let serial = seeded_sweep(&opts).run_serial().unwrap();
-    std::env::set_var("ASD_SWEEP_THREADS", "4");
-    let parallel = seeded_sweep(&opts).run().unwrap();
-    std::env::remove_var("ASD_SWEEP_THREADS");
-    assert_bit_identical(&serial, &parallel, "ASD_SWEEP_THREADS=4 vs serial");
 }
 
 #[test]
@@ -71,8 +67,8 @@ fn different_seeds_actually_diverge() {
     // seed proves nothing; pin that the seed is live.
     let base = RunOpts::default().with_accesses(4_000);
     let reseeded = RunOpts { seed: base.seed ^ 0xdead_beef, ..base.clone() };
-    let a = seeded_sweep(&base).run_serial().unwrap();
-    let b = seeded_sweep(&reseeded).run_serial().unwrap();
+    let a = run_serial(&base);
+    let b = run_serial(&reseeded);
     assert!(
         a.iter().zip(&b).any(|(x, y)| x.cycles != y.cycles),
         "changing the seed changed nothing — the seed is not reaching the trace generators"

@@ -1,22 +1,37 @@
-//! Edge-case tests for the global job-graph pipeline
-//! ([`asd_sim::pipeline`]): empty figure sets, zero-job figures,
-//! submission-time dedup with single-flight accounting, uncacheable
-//! (trace-sourced) jobs, error propagation order matching [`Sweep::run`],
-//! and deterministic output order under a threaded run.
+//! Edge-case tests for the job-graph executor ([`asd_sim::pipeline`]):
+//! empty figure sets, zero-job figures, submission-time dedup with
+//! single-flight accounting, uncacheable (trace-sourced) jobs, error
+//! propagation order matching a plain loop of [`run_custom`] calls,
+//! per-job batch progress, and deterministic output order under a
+//! threaded run.
 //!
-//! The run cache and flight registry are process-global, so tests that
-//! assert on counter *deltas* serialize behind [`COUNTER_LOCK`] and use
-//! seeds unique to this file (and to each test) so no other test binary
-//! or sibling test can pre-populate their cache keys.
+//! The run cache and flight registry are process-global, so every test
+//! that simulates serializes behind [`COUNTER_LOCK`] (a sibling's
+//! simulation would otherwise land in another test's counter deltas) and
+//! uses seeds unique to this file (and to each test) so no other test
+//! binary or sibling test can pre-populate their cache keys.
 
-use asd_sim::pipeline::{FigureOutput, FigurePlan, Job, Pipeline};
-use asd_sim::sweep::Sweep;
+use asd_sim::experiment::run_custom;
+use asd_sim::pipeline::{run_batch, FigureOutput, FigurePlan, Job, Pipeline};
 use asd_sim::{cache, figures, PrefetchKind, RunOpts, SimError, SystemConfig, TraceSource};
 use asd_trace::suites;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serializes tests that assert on process-global cache/flight counters.
+/// Serializes tests that simulate: they add to the process-global
+/// cache/flight counters that other tests assert exact deltas on.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Take [`COUNTER_LOCK`]; a sibling's failed assertion must not fail
+/// every later test through poisoning.
+fn counters() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The serial reference: each job through `run_custom`, in job order,
+/// stopping at the first error.
+fn run_loop(opts: &RunOpts, jobs: &[Job]) -> Result<Vec<asd_sim::RunResult>, SimError> {
+    jobs.iter().map(|j| run_custom(&j.profile, j.cfg.clone(), &j.label, opts)).collect()
+}
 
 /// Short runs with a per-test seed: `0x91be` tags this binary, the low
 /// byte tags the test, so every test owns fresh cache keys.
@@ -67,22 +82,23 @@ fn zero_job_figure_assembles_and_reads_the_clock() {
 }
 
 #[test]
-fn single_job_figure_matches_barrier_mode() {
+fn single_job_figure_matches_standalone_run() {
+    let _serial = counters();
     let o = opts(2);
     let milc = suites::by_name("milc").unwrap();
     let plan = || echo_plan("solo", &o, vec![Job::new(&milc, np(1), "NP")]);
 
-    let barrier = plan().run().unwrap();
-    let mut pipe = Pipeline::new();
+    let alone = plan().run().unwrap();
+    let mut pipe = Pipeline::new().with_threads(2);
     pipe.submit(plan());
     let graph = pipe.run(&|| 0.0).unwrap();
-    assert_eq!(graph.figures[0].output.text, barrier.text);
+    assert_eq!(graph.figures[0].output.text, alone.text);
     assert_eq!(graph.stats.unique_jobs, 1);
 }
 
 #[test]
 fn duplicate_jobs_across_figures_simulate_once() {
-    let _serial = COUNTER_LOCK.lock().unwrap();
+    let _serial = counters();
     if !cache::enabled() {
         return; // dedup is keyed on the cache; nothing to assert with it off
     }
@@ -128,44 +144,39 @@ fn trace_sourced_jobs_are_uncacheable_and_never_dedup() {
 
 #[test]
 fn job_error_selection_matches_sweep_run() {
+    let _serial = counters();
     let o = opts(5);
     let milc = suites::by_name("milc").unwrap();
     let bad = |path: &str| np(1).with_trace(TraceSource::replay(path));
-
-    // Reference: Sweep reports the earliest push-order failure.
-    let mut sweep = Sweep::new(&o);
-    sweep.push(&milc, np(1), "ok");
-    sweep.push(&milc, bad("/nonexistent/pipeline-b.asdt"), "bad-b");
-    sweep.push(&milc, bad("/nonexistent/pipeline-a.asdt"), "bad-a");
-    let want = sweep.run().unwrap_err();
-    assert!(matches!(want, SimError::TraceIo { .. }), "precondition: {want:?}");
-
-    // Same jobs, same order, one figure: the pipeline must pick the same
-    // error even though `bad-a` also fails.
-    let mut pipe = Pipeline::new();
-    pipe.submit(echo_plan(
-        "f",
-        &o,
+    let jobs = || {
         vec![
             Job::new(&milc, np(1), "ok"),
             Job::new(&milc, bad("/nonexistent/pipeline-b.asdt"), "bad-b"),
             Job::new(&milc, bad("/nonexistent/pipeline-a.asdt"), "bad-a"),
-        ],
-    ));
+        ]
+    };
+
+    // Reference: a serial loop stops at the earliest job-order failure.
+    let want = run_loop(&o, &jobs()).unwrap_err();
+    assert!(matches!(want, SimError::TraceIo { .. }), "precondition: {want:?}");
+
+    // Same jobs, same order, one figure: the pipeline must pick the same
+    // error even though `bad-a` also fails — and so must the batch path.
+    let mut pipe = Pipeline::new().with_threads(3);
+    pipe.submit(echo_plan("f", &o, jobs()));
     assert_eq!(pipe.run(&|| 0.0).unwrap_err(), want);
+    assert_eq!(run_batch(&o, jobs(), 3, &|_, _| {}).unwrap_err(), want);
 }
 
 #[test]
 fn cross_figure_errors_report_the_earliest_submitted_figure() {
+    let _serial = counters();
     let o = opts(6);
     let milc = suites::by_name("milc").unwrap();
     let bad = |path: &str| np(1).with_trace(TraceSource::replay(path));
 
-    let expected = {
-        let mut sweep = Sweep::new(&o);
-        sweep.push(&milc, bad("/nonexistent/pipeline-first.asdt"), "bad");
-        sweep.run().unwrap_err()
-    };
+    let expected = run_loop(&o, &[Job::new(&milc, bad("/nonexistent/pipeline-first.asdt"), "bad")])
+        .unwrap_err();
 
     let mut pipe = Pipeline::new();
     pipe.submit(echo_plan(
@@ -178,8 +189,8 @@ fn cross_figure_errors_report_the_earliest_submitted_figure() {
         &o,
         vec![Job::new(&milc, bad("/nonexistent/pipeline-second.asdt"), "bad")],
     ));
-    // Both figures fail; the earliest submission order wins, matching the
-    // barrier path's figure-by-figure iteration.
+    // Both figures fail; the earliest submission order wins, as if the
+    // figures had run one after another.
     assert_eq!(pipe.run(&|| 0.0).unwrap_err(), expected);
 }
 
@@ -196,6 +207,7 @@ fn assemble_errors_propagate() {
 
 #[test]
 fn duplicate_jobs_within_one_figure_keep_their_labels() {
+    let _serial = counters();
     let o = opts(8);
     let milc = suites::by_name("milc").unwrap();
     let plan = FigurePlan::new(
@@ -222,6 +234,7 @@ fn duplicate_jobs_within_one_figure_keep_their_labels() {
 
 #[test]
 fn threaded_run_returns_figures_in_submission_order() {
+    let _serial = counters();
     let o = opts(9);
     let names = ["delta", "alpha", "echo", "bravo", "charlie"];
     let mut pipe = Pipeline::new().with_threads(4);
@@ -233,4 +246,42 @@ fn threaded_run_returns_figures_in_submission_order() {
     let run = pipe.run(&|| 0.0).unwrap();
     let got: Vec<&str> = run.figures.iter().map(|f| f.name.as_str()).collect();
     assert_eq!(got, names, "output order is submission order, not completion order");
+}
+
+#[test]
+fn batch_progress_fires_once_per_submitted_job() {
+    let _serial = counters();
+    let o = opts(10);
+    let milc = suites::by_name("milc").unwrap();
+    let lbm = suites::by_name("lbm").unwrap();
+    // `a` and `c` are the same point: with the cache on they share one
+    // node, yet each still owes the observer its own tick.
+    let jobs = || {
+        vec![Job::new(&milc, np(1), "a"), Job::new(&lbm, np(1), "b"), Job::new(&milc, np(1), "c")]
+    };
+    for threads in [1, 2] {
+        let calls = Mutex::new(Vec::new());
+        let (_, misses_before) = cache::stats();
+        let results = run_batch(&o, jobs(), threads, &|done, total| {
+            calls.lock().unwrap().push((done, total));
+        })
+        .unwrap();
+        let (_, misses_after) = cache::stats();
+        if threads == 1 && cache::enabled() {
+            assert_eq!(misses_after - misses_before, 2, "the duplicate joined at submission");
+        }
+        let labels: Vec<&str> = results.iter().map(|r| r.config.as_str()).collect();
+        assert_eq!(labels, ["a", "b", "c"]);
+        assert_eq!(results[0].cycles, results[2].cycles);
+
+        let calls = calls.into_inner().unwrap();
+        assert_eq!(calls.len(), 3, "{threads} threads: one tick per submitted job");
+        assert!(calls.iter().all(|&(_, total)| total == 3), "{threads} threads: {calls:?}");
+        let mut done: Vec<usize> = calls.iter().map(|&(d, _)| d).collect();
+        done.sort_unstable();
+        assert_eq!(done, [1, 2, 3], "{threads} threads: done counts up to total");
+        if threads == 1 {
+            assert_eq!(calls.last(), Some(&(3, 3)), "ends at (total, total)");
+        }
+    }
 }

@@ -4,14 +4,14 @@
 //!
 //! `ASD_RUN_CACHE` is latched once per process, so these tests do not
 //! toggle the variable; instead they compare the cache-routed path
-//! ([`Sweep`], [`experiment::run_custom`]) against direct
+//! ([`run_batch`], [`experiment::run_custom`]) against direct
 //! [`System::run`], which never consults the cache. That direct path IS
 //! the `ASD_RUN_CACHE=0` code path — `cache::key` returning `None` and a
 //! bare `System::new(..).run()` are what a disabled cache degenerates to
 //! (see `crates/sim/src/cache.rs`). The figures acceptance run checks the
 //! same property end-to-end across processes.
 
-use asd_sim::sweep::Sweep;
+use asd_sim::pipeline::{run_batch, Job};
 use asd_sim::{experiment, PrefetchKind, RunOpts, RunResult, System, SystemConfig};
 use asd_trace::suites;
 
@@ -37,17 +37,20 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
 #[test]
 fn cached_results_match_uncached_direct_runs() {
     let opts = opts();
-    let mut sweep = Sweep::new(&opts);
     let benches = ["milc", "tonto", "lbm"];
-    for bench in benches {
-        let profile = suites::by_name(bench).unwrap();
-        for kind in [PrefetchKind::Np, PrefetchKind::Pms] {
-            sweep.push(&profile, SystemConfig::for_kind(kind, 1), kind.name());
+    let jobs = || {
+        let mut jobs = Vec::new();
+        for bench in benches {
+            let profile = suites::by_name(bench).unwrap();
+            for kind in [PrefetchKind::Np, PrefetchKind::Pms] {
+                jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
+            }
         }
-    }
+        jobs
+    };
     // First pass populates the cache, second pass is served from it.
-    let first = sweep.run_serial().unwrap();
-    let second = sweep.run_serial().unwrap();
+    let first = run_batch(&opts, jobs(), 1, &|_, _| {}).unwrap();
+    let second = run_batch(&opts, jobs(), 2, &|_, _| {}).unwrap();
     // The reference: fresh systems, no cache involvement at all.
     let mut i = 0;
     for bench in benches {

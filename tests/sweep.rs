@@ -1,30 +1,34 @@
-//! The parallel sweep runner and the pluggable-engine seam, end to end:
-//! a parallel sweep must be bit-identical to its serial equivalent, and a
-//! third-party prefetch engine must run through the full system without
-//! any change to `asd-mc` or `asd-sim`.
+//! The parallel batch path and the pluggable-engine seam, end to end:
+//! a parallel [`run_batch`] must be bit-identical to a plain loop of
+//! [`run_custom`] calls, and a third-party prefetch engine must run
+//! through the full system without any change to `asd-mc` or `asd-sim`.
 
 use asd_mc::{custom_engine, EngineFactory, McConfig, PrefetchEngine};
 use asd_sim::experiment::run_custom;
-use asd_sim::sweep::Sweep;
-use asd_sim::{PrefetchKind, RunOpts, SystemConfig};
+use asd_sim::pipeline::{run_batch, Job};
+use asd_sim::{PrefetchKind, RunOpts, RunResult, SystemConfig};
 use asd_trace::suites;
 use std::sync::Arc;
+
+/// The serial reference: each job through `run_custom`, in job order.
+fn run_loop(opts: &RunOpts, jobs: &[Job]) -> Vec<RunResult> {
+    jobs.iter().map(|j| run_custom(&j.profile, j.cfg.clone(), &j.label, opts).unwrap()).collect()
+}
 
 #[test]
 fn parallel_sweep_bit_identical_to_serial() {
     // Mixed benchmarks and configurations; every counter of every run
-    // must match the serial execution exactly, in push order.
+    // must match the serial execution exactly, in job order.
     let opts = RunOpts::default().with_accesses(4_000);
-    let mut sweep = Sweep::new(&opts);
+    let mut jobs = Vec::new();
     for bench in ["milc", "lbm", "tpcc"] {
         let profile = suites::by_name(bench).unwrap();
         for kind in PrefetchKind::ALL {
-            sweep.push(&profile, SystemConfig::for_kind(kind, 1), kind.name());
+            jobs.push(Job::new(&profile, SystemConfig::for_kind(kind, 1), kind.name()));
         }
     }
-    let sweep = sweep.with_threads(4);
-    let par = sweep.run().unwrap();
-    let ser = sweep.run_serial().unwrap();
+    let ser = run_loop(&opts, &jobs);
+    let par = run_batch(&opts, jobs, 4, &|_, _| {}).unwrap();
     assert_eq!(par.len(), 12);
     assert_eq!(par.len(), ser.len());
     for (p, s) in par.iter().zip(&ser) {
@@ -41,15 +45,17 @@ fn parallel_sweep_bit_identical_to_serial() {
 
 #[test]
 fn sweep_is_repeatable() {
-    // Two parallel executions of the same sweep agree run for run.
+    // Two parallel executions of the same batch agree run for run.
     let opts = RunOpts::default().with_accesses(3_000);
     let profile = suites::by_name("tonto").unwrap();
-    let mut sweep = Sweep::new(&opts);
-    for kind in PrefetchKind::ALL {
-        sweep.push(&profile, SystemConfig::for_kind(kind, 1), kind.name());
-    }
-    let a = sweep.run().unwrap();
-    let b = sweep.run().unwrap();
+    let jobs = || {
+        PrefetchKind::ALL
+            .iter()
+            .map(|kind| Job::new(&profile, SystemConfig::for_kind(*kind, 1), kind.name()))
+            .collect::<Vec<_>>()
+    };
+    let a = run_batch(&opts, jobs(), 2, &|_, _| {}).unwrap();
+    let b = run_batch(&opts, jobs(), 2, &|_, _| {}).unwrap();
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.cycles, y.cycles, "{}", x.config);
         assert_eq!(x.mc, y.mc, "{}", x.config);
@@ -114,22 +120,22 @@ fn custom_engine_runs_through_full_system() {
 
 #[test]
 fn custom_engine_works_inside_parallel_sweep() {
-    // One factory shared by several sweep jobs: each system builds its
+    // One factory shared by several batch jobs: each system builds its
     // own engine instance, and parallel equals serial as usual.
     let opts = RunOpts::default().with_accesses(3_000);
     let factory: Arc<dyn EngineFactory> = Arc::new(NextNFactory(2));
-    let mut sweep = Sweep::new(&opts);
+    let mut jobs = Vec::new();
     for bench in ["milc", "lbm"] {
         let profile = suites::by_name(bench).unwrap();
         let cfg = SystemConfig::for_kind(PrefetchKind::Np, 1).with_mc(McConfig {
             engine: custom_engine(Arc::clone(&factory)),
             ..McConfig::default()
         });
-        sweep.push(&profile, cfg, "next-2");
+        jobs.push(Job::new(&profile, cfg, "next-2"));
     }
-    let sweep = sweep.with_threads(2);
-    let par = sweep.run().unwrap();
-    let ser = sweep.run_serial().unwrap();
+    let ser = run_loop(&opts, &jobs);
+    let par = run_batch(&opts, jobs, 2, &|_, _| {}).unwrap();
+    assert_eq!(par.len(), 2);
     for (p, s) in par.iter().zip(&ser) {
         assert_eq!(p.cycles, s.cycles, "{}", p.benchmark);
         assert_eq!(p.mc, s.mc, "{}", p.benchmark);

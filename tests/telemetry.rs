@@ -2,14 +2,14 @@
 //!
 //! The observability layer must never perturb the simulation: a run with
 //! telemetry fully on is bit-identical (every counter, every cycle) to
-//! the same run with telemetry off, serially and under a parallel sweep.
+//! the same run with telemetry off, serially and under a parallel batch.
 //! And the merged snapshot must be a complete source of truth — the
 //! paper's Figure 13 ratios, the CAQ occupancy distribution, and the
 //! Figure 10 DRAM power breakdown all have to come out of one
 //! [`asd_telemetry::Snapshot`] with no reach-back into the stats structs.
 
 use asd_sim::experiment::run_custom;
-use asd_sim::sweep::Sweep;
+use asd_sim::pipeline::{run_batch, Job};
 use asd_sim::{PrefetchKind, RunOpts, RunResult, SystemConfig};
 use asd_telemetry::{names, PrefetchMetrics, TelemetryConfig};
 use asd_trace::suites;
@@ -52,18 +52,21 @@ fn telemetry_on_vs_off_is_bit_identical_across_profiles() {
 
 #[test]
 fn serial_and_parallel_sweeps_produce_identical_snapshots() {
-    let build = || {
-        let mut sweep = Sweep::new(&opts());
+    let jobs = || {
+        let mut jobs = Vec::new();
         for bench in PROFILES {
             let profile = suites::by_name(bench).unwrap();
             let cfg = SystemConfig::for_kind(PrefetchKind::Pms, 1)
                 .with_telemetry(TelemetryConfig::full());
-            sweep.push(&profile, cfg, "PMS");
+            jobs.push(Job::new(&profile, cfg, "PMS"));
         }
-        sweep
+        jobs
     };
-    let serial = build().run_serial().unwrap();
-    let parallel = build().with_threads(4).run().unwrap();
+    let serial: Vec<RunResult> = jobs()
+        .iter()
+        .map(|j| run_custom(&j.profile, j.cfg.clone(), &j.label, &opts()).unwrap())
+        .collect();
+    let parallel = run_batch(&opts(), jobs(), 4, &|_, _| {}).unwrap();
     for (s, p) in serial.iter().zip(&parallel) {
         assert_same_simulation(s, p, &format!("{}: parallel vs serial", s.benchmark));
         assert_eq!(
